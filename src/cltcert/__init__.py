@@ -7,8 +7,8 @@ The package has five layers:
   tensor norms (Frobenius / max / symmetric operator) and Gaussian-weighted
   Hermite integrals;
 * :mod:`cltcert.samplers` — the benchmark distribution zoo, the two-point
-  mixing law behind the third-moment-matching construction, and
-  sub-Gaussian/concentration helpers;
+  mixing law behind the third-moment-matching construction, and the
+  sub-Gaussian factor heuristic;
 * :mod:`cltcert.engine` — the bound engine proper: explicit Berry–Esseen-type
   bounds over Euclidean balls and half-spaces, the symmetric-input variant,
   bootstrap accuracy certificates, and score-test bounds;

@@ -40,7 +40,6 @@ __all__ = [
     "bootstrap_ball_quantile",
     "bootstrap_score_test",
     "chi2_quantile",
-    "efron_resample",
     "elliptical_coverage_experiment",
     "exponential_rate_scores",
     "gaussian_location_scores",
@@ -49,6 +48,9 @@ __all__ = [
 ]
 
 MIN_REPLICATES = 200
+
+# count cells (replicates × n) _resample_means draws at once: 32 MB of int64
+RESAMPLE_CHUNK_CELLS = 2 ** 22
 
 
 def _check_alpha(alpha: float) -> None:
@@ -66,26 +68,26 @@ def _order_stat_quantile(replicates: np.ndarray, alpha: float) -> float:
 
 def _resample_means(centered: np.ndarray, b: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """B resample means of the centered rows, via multinomial counts."""
+    """``b`` Efron resample means of the centered rows (conditional mean 0,
+    covariance Σ̂/n), from multinomial counts drawn in row chunks of at most
+    ``RESAMPLE_CHUNK_CELLS`` cells: the same counts as one b×n draw."""
     n = centered.shape[0]
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=b)
-    return (counts @ centered) / n
+    p = np.full(n, 1.0 / n)
+    step = max(1, RESAMPLE_CHUNK_CELLS // n)
+    return np.concatenate([rng.multinomial(n, p, size=min(step, b - i))
+                           @ centered / n for i in range(0, b, step)])
 
 
-def efron_resample(s: Sample, seed: int) -> Sample:
-    """One resample of n rows drawn uniformly from the centered rows.
-
-    The resampling law puts mass 1/n on each X_j − X̄, so its conditional
-    mean is exactly zero and its conditional second moment is the biased
-    sample covariance.
-    """
-    if s.n < 2:
-        raise ValueError("need at least 2 rows to resample")
-    centered = s.data - s.mean()
-    rng = np.random.default_rng(substream(seed, "efron", 0))
-    idx = rng.integers(0, s.n, s.n)
-    label = f"{s.label}:efron" if s.label else "efron"
-    return Sample(centered[idx], seed=seed, label=label)
+def _score_bootstrap(rows: np.ndarray, b: int, alpha: float,
+                      rng: np.random.Generator):
+    """Score statistic ‖Σᵢsᵢ‖²/n of the raw rows and the (1−α)-quantile of
+    its ``b`` bootstrap replicates on the centered rows."""
+    n = rows.shape[0]
+    total = rows.sum(axis=0)
+    statistic = float(np.dot(total, total)) / n
+    means = _resample_means(rows - rows.mean(axis=0), b, rng)
+    replicates = n * np.sum(means * means, axis=1)
+    return statistic, _order_stat_quantile(replicates, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     _check_alpha(alpha)
     if B < MIN_REPLICATES:
         raise ValueError(f"B must be >= {MIN_REPLICATES}, got {B}")
-    w_spd = w if isinstance(w, SpdMatrix) else SpdMatrix(w)
+    w_spd = SpdMatrix.coerce(w)
     if w_spd.dim != s.dim:
         raise ValueError("W dimension does not match the sample")
     centered = s.data - s.mean()
@@ -165,15 +167,8 @@ def bootstrap_score_test(scores: Sample, alpha: float, B: int = 2000,
         raise ValueError(f"B must be >= {MIN_REPLICATES}, got {B}")
     if scores.n < 2:
         raise ValueError("need at least 2 score rows")
-    n = scores.n
-    total = scores.data.sum(axis=0)
-    statistic = float(np.dot(total, total)) / n
-
-    centered = scores.data - scores.mean()
     rng = np.random.default_rng(substream(seed, "score_boot", 0))
-    means = _resample_means(centered, B, rng)
-    replicates = n * np.sum(means * means, axis=1)
-    threshold = _order_stat_quantile(replicates, alpha)
+    statistic, threshold = _score_bootstrap(scores.data, B, alpha, rng)
 
     certificate, cert_error = None, None
     if sigma2_s is not None:
@@ -214,7 +209,7 @@ def rao_score_test(scores: Sample, info, alpha: float,
     is attached.
     """
     _check_alpha(alpha)
-    info_spd = info if isinstance(info, SpdMatrix) else SpdMatrix(info)
+    info_spd = SpdMatrix.coerce(info)
     if info_spd.dim != scores.dim:
         raise ValueError("information matrix dimension mismatch")
     s = scores.data.sum(axis=0)
@@ -280,11 +275,8 @@ def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
             rows = rng.standard_normal((n, d))
         else:
             rows = spec.sample(n, seed=int(rng.integers(0, 2 ** 63 - 1))).data
-        total = rows.sum(axis=0)
-        statistic = float(np.dot(total, total)) / n
-        means = _resample_means(rows - rows.mean(axis=0), B, rng)
-        replicates = n * np.sum(means * means, axis=1)
-        if statistic > _order_stat_quantile(replicates, alpha):
+        statistic, threshold = _score_bootstrap(rows, B, alpha, rng)
+        if statistic > threshold:
             rejections += 1
     level = rejections / trials
     stderr = math.sqrt(max(level * (1.0 - level), 1e-12) / trials)
@@ -320,14 +312,15 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
                                    pilot_n: int = 20_000) -> CoverageResult:
     """Coverage of the bootstrap ellipsoid {μ : √n‖W^{1/2}(X̄−μ)‖ ≤ q*_α}.
 
-    With σ² supplied, attaches the coverage-error certificate computed from
-    a pilot sample; an infeasible certificate condition is reported in
-    ``certificate_error`` and does not abort the empirical run.
+    With σ² supplied, attaches the coverage-error certificate at the
+    experiment's ``n``, with moments estimated from a pilot sample of
+    ``max(n, pilot_n)`` rows; an infeasible certificate condition is
+    reported in ``certificate_error`` and does not abort the empirical run.
     """
     _check_alpha(alpha)
     if trials < 200:
         raise ValueError("trials must be >= 200 for a stable coverage rate")
-    w_spd = w if isinstance(w, SpdMatrix) else SpdMatrix(w)
+    w_spd = SpdMatrix.coerce(w)
     if w_spd.dim != spec.d:
         raise ValueError("W dimension does not match the distribution")
     w_half = w_spd.sqrt()
@@ -353,7 +346,8 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
             pilot_rng = np.random.default_rng(substream(seed, "coverage_pilot", 0))
             pilot = spec.sample(max(n, pilot_n),
                                 seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
-            ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix)
+            ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix,
+                                   n=n)
             certificate = delta_W(ms)
         except InfeasibleError as exc:
             cert_error = str(exc)

@@ -34,20 +34,13 @@ from .distances import (
     same_law_threshold,
 )
 from .engine import (
+    THEOREM_TABLE,
     ConstantsLedger,
     InfeasibleError,
     MomentSummary,
-    bootstrap_delta,
-    bound_ball_general,
-    bound_ball_normal,
-    bound_ball_symmetric,
-    bound_halfspace_general,
-    bound_halfspace_normal,
-    delta_R,
-    delta_W,
     bootstrap_summary,
+    bound_ball_normal,
     optimize_beta,
-    score2_bound,
     score_summary,
     summarize_pair,
     summarize_sample,
@@ -61,13 +54,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 SWEEP_HEADER = "d,n,family,estimate,stderr,bound_total,seed"
-
-THEOREMS = (
-    "ball-normal", "ball-same-cov", "ball-diff-cov",
-    "halfspace-normal", "halfspace-same-cov", "halfspace-diff-cov",
-    "symmetric", "symmetric-max",
-    "bootstrap-ball", "elliptical", "score-bootstrap", "score-chi2",
-)
 
 # admissible (K, M, a, b) tuples behind the published smoothing constants
 CONSTANT_TUPLES = ((3, 54.1, 27.46, 14.0),
@@ -109,10 +95,10 @@ def _bound_summary(args) -> MomentSummary:
     x = Sample.from_csv(args.from_sample)
     sigma = _load_matrix(args.sigma) if args.sigma else None
     theorem = args.theorem
-    if theorem in ("ball-normal", "halfspace-normal", "score-chi2"):
+    kind = THEOREM_TABLE[theorem].summary
+    if kind == "sample":
         return summarize_sample(x, sigma=sigma, n=args.n)
-    if theorem in ("ball-same-cov", "ball-diff-cov",
-                   "halfspace-same-cov", "halfspace-diff-cov"):
+    if kind == "pair":
         if not args.second_sample:
             raise ValueError(f"--theorem {theorem} needs --second-sample")
         t = Sample.from_csv(args.second_sample)
@@ -120,48 +106,17 @@ def _bound_summary(args) -> MomentSummary:
         return summarize_pair(x, t, sigma=sigma, sigma_t=sigma_t,
                               same_cov=theorem.endswith("same-cov"),
                               n=args.n)
-    if theorem in ("bootstrap-ball", "elliptical"):
-        if args.sigma2 is None:
-            raise ValueError(f"--theorem {theorem} needs --sigma2")
+    if kind is None:
+        raise ValueError(f"--theorem {theorem} needs --moments "
+                         "(sample moments cannot determine the matching law)")
+    if args.sigma2 is None:
+        raise ValueError(f"--theorem {theorem} needs --sigma2")
+    if kind == "bootstrap":
         weight = _load_matrix(args.weight) if args.weight else None
         return bootstrap_summary(x, sigma2=args.sigma2, sigma=sigma,
-                                 weight=weight)
-    if theorem == "score-bootstrap":
-        if args.sigma2 is None:
-            raise ValueError("--theorem score-bootstrap needs --sigma2")
-        info = _load_matrix(args.info) if args.info else None
-        return score_summary(x, sigma2_s=args.sigma2, info=info)
-    raise ValueError(f"--theorem {theorem} needs --moments "
-                     "(sample moments cannot determine the matching law)")
-
-
-def _bound_dispatch(theorem: str, ms: MomentSummary, beta: float,
-                    ledger: ConstantsLedger):
-    if theorem == "ball-normal":
-        return bound_ball_normal(ms, beta, ledger)
-    if theorem == "ball-same-cov":
-        return bound_ball_general(ms, beta, ledger, same_cov=True)
-    if theorem == "ball-diff-cov":
-        return bound_ball_general(ms, beta, ledger, same_cov=False)
-    if theorem == "halfspace-normal":
-        return bound_halfspace_normal(ms, beta, ledger)
-    if theorem == "halfspace-same-cov":
-        return bound_halfspace_general(ms, beta, ledger, same_cov=True)
-    if theorem == "halfspace-diff-cov":
-        return bound_halfspace_general(ms, beta, ledger, same_cov=False)
-    if theorem == "symmetric":
-        return bound_ball_symmetric(ms, ledger, variant="sixth_moment")
-    if theorem == "symmetric-max":
-        return bound_ball_symmetric(ms, ledger, variant="max_norm")
-    if theorem == "bootstrap-ball":
-        return bootstrap_delta(ms, beta, ledger)
-    if theorem == "elliptical":
-        return delta_W(ms, beta, ledger)
-    if theorem == "score-bootstrap":
-        return delta_R(ms, beta, ledger)
-    if theorem == "score-chi2":
-        return score2_bound(ms, beta, ledger)
-    raise ValueError(f"unknown theorem {theorem!r}")
+                                 weight=weight, n=args.n)
+    info = _load_matrix(args.info) if args.info else None
+    return score_summary(x, sigma2_s=args.sigma2, info=info)
 
 
 def _cmd_bound(args) -> int:
@@ -169,13 +124,14 @@ def _cmd_bound(args) -> int:
     if args.ledger_overrides:
         ledger = ledger.with_overrides(**json.loads(args.ledger_overrides))
     ms = _bound_summary(args)
-    if args.theorem in ("symmetric", "symmetric-max"):
-        breakdown = _bound_dispatch(args.theorem, ms, 0.0, ledger)
+    theorem = THEOREM_TABLE[args.theorem]
+    if not theorem.uses_beta:
+        breakdown = theorem.evaluate(ms, None, ledger)
     elif args.beta == "optimize":
         _, breakdown = optimize_beta(
-            lambda b: _bound_dispatch(args.theorem, ms, b, ledger))
+            lambda b: theorem.evaluate(ms, b, ledger))
     else:
-        breakdown = _bound_dispatch(args.theorem, ms, float(args.beta), ledger)
+        breakdown = theorem.evaluate(ms, float(args.beta), ledger)
     _emit(breakdown.to_json(), args.out)
     _note(f"{args.theorem}: total = {breakdown.total:.6g}")
     return EXIT_OK
@@ -252,33 +208,19 @@ def _cmd_bootstrap(args) -> int:
 
 def _cmd_score_test(args) -> int:
     data = Sample.from_csv(args.data)
-    if args.method == "bootstrap":
-        if args.seed is None:
-            raise ValueError("--method bootstrap requires --seed")
-        res = bootstrap_score_test(data, alpha=args.alpha, B=args.B,
-                                   seed=args.seed, sigma2_s=args.sigma2,
-                                   info=_load_matrix(args.info)
-                                   if args.info else None)
-        payload = {"test": "bootstrap-score", "alpha": args.alpha,
-                   "B": args.B, "seed": args.seed,
-                   "decision": "reject" if res.reject else "accept",
-                   "statistic": res.statistic, "quantile": res.threshold,
-                   "certificate": _breakdown_payload(res.certificate),
-                   "certificate_error": res.certificate_error}
-    else:
-        if not args.info:
-            raise ValueError("--method rao requires --info (Fisher "
-                             "information of the full sample)")
-        moments = None
-        if args.moments:
-            with open(args.moments, "r", encoding="utf-8") as fh:
-                moments = MomentSummary.from_json(fh.read())
-        res = rao_score_test(data, _load_matrix(args.info), alpha=args.alpha,
-                             moments=moments)
-        payload = {"test": "rao", "alpha": args.alpha,
-                   "decision": "reject" if res.reject else "accept",
-                   "statistic": res.statistic, "quantile": res.threshold,
-                   "certificate": _breakdown_payload(res.certificate)}
+    if not args.info:
+        raise ValueError("score-test requires --info (Fisher information of "
+                         "the full sample)")
+    moments = None
+    if args.moments:
+        with open(args.moments, "r", encoding="utf-8") as fh:
+            moments = MomentSummary.from_json(fh.read())
+    res = rao_score_test(data, _load_matrix(args.info), alpha=args.alpha,
+                         moments=moments)
+    payload = {"test": "rao", "alpha": args.alpha,
+               "decision": "reject" if res.reject else "accept",
+               "statistic": res.statistic, "quantile": res.threshold,
+               "certificate": _breakdown_payload(res.certificate)}
     _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -377,23 +319,19 @@ def _experiment_normal_sweep(args) -> list[str]:
     return rows
 
 
+EXPERIMENTS = {
+    "portnoy": _experiment_portnoy,
+    "coverage": _experiment_coverage,
+    "score-level": _experiment_score_level,
+    "same-law-ball": lambda args: _experiment_same_law(args, "ball"),
+    "same-law-halfspace": lambda args: _experiment_same_law(args, "halfspace"),
+    "anticoncentration": _experiment_anticoncentration,
+    "normal-sweep": _experiment_normal_sweep,
+}
+
+
 def _cmd_experiment(args) -> int:
-    if args.name == "portnoy":
-        rows = _experiment_portnoy(args)
-    elif args.name == "coverage":
-        rows = _experiment_coverage(args)
-    elif args.name == "score-level":
-        rows = _experiment_score_level(args)
-    elif args.name == "same-law-ball":
-        rows = _experiment_same_law(args, "ball")
-    elif args.name == "same-law-halfspace":
-        rows = _experiment_same_law(args, "halfspace")
-    elif args.name == "anticoncentration":
-        rows = _experiment_anticoncentration(args)
-    elif args.name == "normal-sweep":
-        rows = _experiment_normal_sweep(args)
-    else:
-        raise ValueError(f"unknown experiment {args.name!r}")
+    rows = EXPERIMENTS[args.name](args)
     _emit("\n".join([SWEEP_HEADER] + rows), args.out)
     return EXIT_OK
 
@@ -402,8 +340,22 @@ def _cmd_experiment(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps the arguments added to it, so that a
+    config file can be checked against them and fill them in."""
+
+    def __init__(self, *args, **kwargs):
+        self.arguments = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.arguments.append(action)
+        return action
+
+
+def _build_parser() -> tuple[_Parser, list[_Parser]]:
+    parser = _Parser(
         prog="cltcert",
         description="Finite-sample CLT and bootstrap accuracy toolkit: "
                     "certificates (JSON), distance estimates (JSON), and "
@@ -413,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="evaluate a certificate")
-    p.add_argument("--theorem", required=True, choices=THEOREMS)
+    p.add_argument("--theorem", required=True, choices=tuple(THEOREM_TABLE))
     p.add_argument("--beta", default="0.829",
                    help="smoothing parameter in (0,1), or 'optimize'")
     p.add_argument("--moments", help="moment summary JSON file")
@@ -462,24 +414,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bootstrap)
 
-    p = sub.add_parser("score-test", help="score test (χ² or bootstrap)")
-    p.add_argument("--method", default="rao", choices=("rao", "bootstrap"))
+    p = sub.add_parser("score-test",
+                       help="Rao score test against the χ² quantile")
     p.add_argument("--data", required=True, help="per-observation score CSV")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--B", type=int, default=2000)
-    p.add_argument("--seed", type=int)
     p.add_argument("--info", help="Fisher information CSV")
-    p.add_argument("--sigma2", type=float)
     p.add_argument("--moments", help="moment summary JSON for the "
                                      "χ²-level certificate")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_score_test)
 
     p = sub.add_parser("experiment", help="reproducible sweep (CSV)")
-    p.add_argument("--name", required=True,
-                   choices=("portnoy", "coverage", "score-level",
-                            "same-law-ball", "same-law-halfspace",
-                            "anticoncentration", "normal-sweep"))
+    p.add_argument("--name", required=True, choices=tuple(EXPERIMENTS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=1000)
@@ -501,10 +447,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration-n", type=int, default=4096)
     p.set_defaults(func=_cmd_experiment, out=None)
 
-    return parser
+    return parser, list(sub.choices.values())
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _apply_config(commands: list[_Parser], argv: list[str]) -> None:
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -514,26 +460,23 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("--config must contain a JSON object")
-    valid = set()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        valid.update(a.dest for a in action._actions)
+    valid = {a.dest for p in commands for a in p.arguments}
     unknown = sorted(set(cfg) - valid)
     if unknown:
         raise ValueError("unknown config keys: " + ", ".join(unknown))
-    for sub in parser._subparsers._group_actions[0].choices.values():
-        hit = {k: v for k, v in cfg.items()
-               if k in {a.dest for a in sub._actions}}
-        sub.set_defaults(**hit)
-        for action in sub._actions:
+    for p in commands:
+        hit = {a.dest: cfg[a.dest] for a in p.arguments if a.dest in cfg}
+        p.set_defaults(**hit)
+        for action in p.arguments:
             if action.dest in hit:
                 action.required = False
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        _apply_config(parser, argv)
+        _apply_config(commands, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except InfeasibleError as exc:

@@ -34,6 +34,11 @@ __all__ = [
     "same_law_threshold",
 ]
 
+# same_law_threshold keeps this order statistic of its null estimates and
+# inflates it by this factor
+NULL_QUANTILE = 0.99
+NULL_MARGIN = 1.05
+
 
 @dataclass(frozen=True)
 class DistanceEstimate:
@@ -68,13 +73,6 @@ class DistanceEstimate:
             "flags": list(self.flags),
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistanceEstimate":
-        payload = json.loads(text)
-        return cls(value=payload["value"], stderr=payload["stderr"],
-                   n_mc=payload["n_mc"], search_set=payload["search_set"],
-                   flags=tuple(payload["flags"]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +140,6 @@ def _pooled_scale(sa: Sample, sb: Sample) -> float:
     return math.sqrt(max(tr, 1e-300))
 
 
-def _ks_argmax_over(values_a: np.ndarray, values_b: np.ndarray) -> float:
-    return ks_two_sample_1d(values_a, values_b)
-
-
 def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
                       rng: np.random.Generator) -> float:
     if n_boot < 2:
@@ -159,14 +153,14 @@ def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
 
 
 def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
-                n_boot: int = 100, include_axes: bool = True) -> DistanceEstimate:
+                n_boot: int = 100) -> DistanceEstimate:
     """Lower estimate of the uniform distance over Euclidean balls.
 
     For each candidate center t the d-dimensional problem collapses to an
     exact 1-D KS statistic on the radii ‖row − t‖; the estimate is the max
     over centers.  Candidate centers: the origin, ``n_centers`` Gaussian
-    draws scaled by the pooled trace(Σ̂)^{1/2}, and (optionally) points on
-    the ± canonical axes at the same scale.  The stderr is a row bootstrap
+    draws scaled by the pooled trace(Σ̂)^{1/2}, and points on the ±
+    canonical axes at the same scale.  The stderr is a row bootstrap
     at the maximizing center, so it reflects sampling noise of the KS value
     there, not search-set variability.
     """
@@ -178,16 +172,15 @@ def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
     blocks = [np.zeros((1, d))]
     if n_centers > 0:
         blocks.append(scale * rng_c.standard_normal((n_centers, d)))
-    if include_axes:
-        eye = np.eye(d)
-        blocks.append(scale * np.concatenate([eye, -eye], axis=0))
+    eye = np.eye(d)
+    blocks.append(scale * np.concatenate([eye, -eye], axis=0))
     centers = np.concatenate(blocks, axis=0)
 
     best_val, best_center = -1.0, None
     for t in centers:
         ra = np.linalg.norm(sa.data - t, axis=1)
         rb = np.linalg.norm(sb.data - t, axis=1)
-        val = _ks_argmax_over(ra, rb)
+        val = ks_two_sample_1d(ra, rb)
         if val > best_val:
             best_val, best_center = val, t
     rng_b = np.random.default_rng(substream(seed, "delta_B:stderr", 0))
@@ -195,14 +188,14 @@ def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
     rb = np.linalg.norm(sb.data - best_center, axis=1)
     stderr = _bootstrap_stderr(ra, rb, n_boot, rng_b)
     descr = (f"balls:origin+{n_centers}gaussian"
-             f"+{2 * d if include_axes else 0}axes@scale=trace^0.5")
+             f"+{2 * d}axes@scale=trace^0.5")
     return DistanceEstimate(value=best_val, stderr=stderr,
                             n_mc=min(sa.n, sb.n), search_set=descr,
                             flags=("lower_estimate",))
 
 
 def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
-                n_boot: int = 100, include_axes: bool = True) -> DistanceEstimate:
+                n_boot: int = 100) -> DistanceEstimate:
     """Lower estimate of the uniform distance over half-spaces.
 
     Max over unit directions (uniform on the sphere plus canonical axes) of
@@ -217,24 +210,20 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
     if n_dirs > 0:
         g = rng_c.standard_normal((n_dirs, d))
         blocks.append(g / np.linalg.norm(g, axis=1, keepdims=True))
-    if include_axes:
-        blocks.append(np.eye(d))
-    if not blocks:
-        raise ValueError("empty direction set")
+    blocks.append(np.eye(d))
     dirs = np.concatenate(blocks, axis=0)
 
     proj_a = sa.data @ dirs.T
     proj_b = sb.data @ dirs.T
     best_val, best_j = -1.0, 0
     for j in range(dirs.shape[0]):
-        val = _ks_argmax_over(proj_a[:, j], proj_b[:, j])
+        val = ks_two_sample_1d(proj_a[:, j], proj_b[:, j])
         if val > best_val:
             best_val, best_j = val, j
     rng_b = np.random.default_rng(substream(seed, "delta_H:stderr", 0))
     stderr = _bootstrap_stderr(proj_a[:, best_j], proj_b[:, best_j],
                                n_boot, rng_b)
-    descr = (f"halfspaces:{n_dirs}sphere"
-             f"+{d if include_axes else 0}axes")
+    descr = f"halfspaces:{n_dirs}sphere+{d}axes"
     return DistanceEstimate(value=best_val, stderr=stderr,
                             n_mc=min(sa.n, sb.n), search_set=descr,
                             flags=("lower_estimate",))
@@ -242,15 +231,13 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
 
 def same_law_threshold(d: int, n: int, estimator: str = "ball",
                        n_null: int = 200, n_cal: int = 4096,
-                       quantile: float = 0.99, margin: float = 1.05,
-                       seed: int = 0, n_centers: int = 64,
-                       include_axes: bool = True) -> float:
+                       seed: int = 0, n_centers: int = 64) -> float:
     """Empirical null threshold for "the two samples share a law".
 
     Calibrates on ``n_null`` pairs of standard-Gaussian samples of size
-    ``n_cal`` run through the *same* search policy, takes the ``quantile``
-    order statistic times ``margin``, and rescales to the target size by
-    sqrt(n_cal/n) (the KS-max null scale).  Calibration at a smaller n_cal
+    ``n_cal`` run through the *same* search policy, takes the
+    ``NULL_QUANTILE`` order statistic times ``NULL_MARGIN``, and rescales to
+    the target size by sqrt(n_cal/n) (the KS-max null scale).  Calibration at a smaller n_cal
     keeps the setup cost flat while n grows.
     """
     if estimator not in ("ball", "halfspace"):
@@ -261,14 +248,12 @@ def same_law_threshold(d: int, n: int, estimator: str = "ball",
         a = Sample(rng.standard_normal((n_cal, d)), seed=seed, label="null_a")
         b = Sample(rng.standard_normal((n_cal, d)), seed=seed, label="null_b")
         if estimator == "ball":
-            est = delta_B_hat(a, b, n_centers=n_centers, seed=seed,
-                              n_boot=0, include_axes=include_axes)
+            est = delta_B_hat(a, b, n_centers=n_centers, seed=seed, n_boot=0)
         else:
-            est = delta_H_hat(a, b, n_dirs=n_centers, seed=seed,
-                              n_boot=0, include_axes=include_axes)
+            est = delta_H_hat(a, b, n_dirs=n_centers, seed=seed, n_boot=0)
         vals[run] = est.value
-    q = float(np.quantile(vals, quantile, method="higher"))
-    return q * margin * math.sqrt(n_cal / n)
+    q = float(np.quantile(vals, NULL_QUANTILE, method="higher"))
+    return q * NULL_MARGIN * math.sqrt(n_cal / n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +295,6 @@ class ScalingFit:
     median_sq: tuple[float, ...]
     median_abs: tuple[float, ...]
     seed: int
-
-    def to_json(self) -> str:
-        payload = {
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "d_list": list(self.d_list),
-            "n": self.n,
-            "reps": self.reps,
-            "median_sq": list(self.median_sq),
-            "median_abs": list(self.median_abs),
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def portnoy_scaling_experiment(d_list, n: int, reps: int,

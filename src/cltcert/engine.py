@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "delta_W",
     "delta_R",
     "score2_bound",
+    "Theorem",
+    "THEOREM_TABLE",
     "optimize_beta",
     "verify_constants_constraint",
     "summarize_gaussian",
@@ -85,7 +87,8 @@ class ConstantsLedger:
     ``c_phi4/c_phi6`` (mollifier derivatives) are not computable from the
     results used here; they are known to be ≥ 1 and default to 1, so the
     derived constants sit at their stated lower values
-    (c_b4 = c_h4 = 9.5, c_b6 = 2.9).  Override via :meth:`with_overrides`.
+    (c_b4 = 9.5, c_b6 = 2.9).  The half-space bounds use the same fourth-order
+    constant and report it as ``c_h4``.  Override via :meth:`with_overrides`.
     """
 
     m3: float = 54.1
@@ -99,15 +102,11 @@ class ConstantsLedger:
         for name in ("c_ell2", "c_phi4", "c_phi6"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
-        if self.c_b4 < 9.5 or self.c_h4 < 9.5 or self.c_b6 < 2.9:
+        if self.c_b4 < 9.5 or self.c_b6 < 2.9:
             raise ValueError("derived constants fell below their lower values")
 
     @property
     def c_b4(self) -> float:
-        return self.m4 * self.c_ell2 * self.c_phi4
-
-    @property
-    def c_h4(self) -> float:
         return self.m4 * self.c_ell2 * self.c_phi4
 
     @property
@@ -337,10 +336,19 @@ def bound_ball_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
                       ledger: ConstantsLedger = ConstantsLedger()) -> BoundBreakdown:
     """Distance to 𝒩(0, Σ) over Euclidean balls, fourth-moment version."""
     ms.require("x_w4_mean", "sigma_cond")
+    surr = _surrogates(ms.x_w3_frob, ms.x_w3_op, ms.x_w3_max, ms.x_w3_nonzero,
+                       ms.d)
+    r3, chosen = _pick(surr)
+    return _ball_normal_breakdown(ms, beta, ledger, r3, "ball_normal",
+                                  {"r3_surrogates": surr, "r3_chosen": chosen})
+
+
+def _ball_normal_breakdown(ms: MomentSummary, beta: float,
+                           ledger: ConstantsLedger, r3: float, theorem: str,
+                           extra_inputs: dict) -> BoundBreakdown:
+    """The one-sample ball bound's terms for a given third-moment envelope."""
     h1, h2, _ = h_funcs(beta)
     d, n = ms.d, ms.n
-    surr = _surrogates(ms.x_w3_frob, ms.x_w3_op, ms.x_w3_max, ms.x_w3_nonzero, d)
-    r3, chosen = _pick(surr)
     dd = d * d + 2.0 * d
     t1 = r3 / (SQRT6 * beta ** 3 * math.sqrt(n))
     t2 = (2.0 * ledger.c_b4 * ms.sigma_cond
@@ -348,12 +356,11 @@ def bound_ball_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
           / math.sqrt(n))
     t3 = (h1 * ms.x_w4_mean + h2 * dd) / (2.0 * SQRT6 * n)
     return BoundBreakdown(
-        theorem="ball_normal", beta=beta,
+        theorem=theorem, beta=beta,
         terms=[("third_moment_sqrt_n", t1),
                ("smoothed_comparison_sqrt_n", t2),
                ("expansion_n1", t3)],
-        inputs={"d": d, "n": n, "c_b4": ledger.c_b4,
-                "r3_surrogates": surr, "r3_chosen": chosen,
+        inputs={"d": d, "n": n, "c_b4": ledger.c_b4, **extra_inputs,
                 "x_w4_mean": ms.x_w4_mean, "sigma_cond": ms.sigma_cond})
 
 
@@ -436,7 +443,7 @@ def bound_halfspace_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
     h1, h2, h3 = h_funcs(beta)
     n = ms.n
     t1 = ms.x_w3_op / (SQRT6 * beta ** 3 * math.sqrt(n))
-    t2 = (ledger.c_h4
+    t2 = (ledger.c_b4
           * math.sqrt((h1 + beta ** -4) * ms.x_w4_op + h3) / math.sqrt(n))
     t3 = (h1 * ms.x_w4_op + 3.0 * h2) / (2.0 * SQRT6 * n)
     return BoundBreakdown(
@@ -444,7 +451,7 @@ def bound_halfspace_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
         terms=[("third_moment_sqrt_n", t1),
                ("smoothed_comparison_sqrt_n", t2),
                ("expansion_n1", t3)],
-        inputs={"d": ms.d, "n": n, "c_h4": ledger.c_h4,
+        inputs={"d": ms.d, "n": n, "c_h4": ledger.c_b4,
                 "x_w3_op": ms.x_w3_op, "x_w4_op": ms.x_w4_op})
 
 
@@ -458,7 +465,7 @@ def bound_halfspace_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
         ms.require("dw3_op", "x_w4_op", "t_w4_op")
         vbar = ms.x_w4_op + ms.t_w4_op
         t1 = ms.dw3_op / (SQRT6 * beta ** 3 * math.sqrt(n))
-        t2 = (ledger.c_h4 * math.sqrt((h1 + beta ** -4) * vbar + 2.0 * h3)
+        t2 = (ledger.c_b4 * math.sqrt((h1 + beta ** -4) * vbar + 2.0 * h3)
               / math.sqrt(n))
         t3 = h1 * vbar / (2.0 * SQRT6 * n)
         return BoundBreakdown(
@@ -466,7 +473,7 @@ def bound_halfspace_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
             terms=[("third_moment_sqrt_n", t1),
                    ("smoothed_comparison_sqrt_n", t2),
                    ("expansion_n1", t3)],
-            inputs={"d": ms.d, "n": n, "c_h4": ledger.c_h4, "vbar_t4": vbar})
+            inputs={"d": ms.d, "n": n, "c_h4": ledger.c_b4, "vbar_t4": vbar})
 
     ms.require("cov_gap_op", "d3_op", "x_raw4_op", "t_raw4_op",
                "sigma_op", "sigma_t_op")
@@ -475,7 +482,7 @@ def bound_halfspace_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
     v4_small = ms.sigma_op ** 2 + ms.sigma_t_op ** 2
     t0 = ms.cov_gap_op / (SQRT2 * beta ** 2 * lam0)
     t1 = ms.d3_op / (SQRT6 * beta ** 3 * lam0 ** 1.5 * math.sqrt(n))
-    t2 = (4.0 * SQRT2 * ledger.c_h4 / lam0
+    t2 = (4.0 * SQRT2 * ledger.c_b4 / lam0
           * math.sqrt(h1 * vt4 + 3.0 * (v4_small + 0.5)) / math.sqrt(n))
     t3 = 2.0 * (h1 * vt4 + 3.0 * v4_small) / (SQRT6 * lam0 ** 2 * n)
     return BoundBreakdown(
@@ -484,7 +491,7 @@ def bound_halfspace_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
                ("third_moment_sqrt_n", t1),
                ("smoothed_comparison_sqrt_n", t2),
                ("expansion_n1", t3)],
-        inputs={"d": ms.d, "n": n, "c_h4": ledger.c_h4, "lambda0_sq": lam0,
+        inputs={"d": ms.d, "n": n, "c_h4": ledger.c_b4, "lambda0_sq": lam0,
                 "v_t4": vt4, "v4_small": v4_small})
 
 
@@ -642,21 +649,51 @@ def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
     condition number of I(θ').
     """
     ms.require("x_w3_frob", "x_w4_mean", "sigma_cond")
-    h1, h2, _ = h_funcs(beta)
-    d, n = ms.d, ms.n
-    dd = d * d + 2.0 * d
-    t1 = ms.x_w3_frob / (SQRT6 * beta ** 3 * math.sqrt(n))
-    t2 = (2.0 * ledger.c_b4 * ms.sigma_cond
-          * math.sqrt((h1 + 0.25 / beta ** 4) * ms.x_w4_mean + dd)
-          / math.sqrt(n))
-    t3 = (h1 * ms.x_w4_mean + h2 * dd) / (2.0 * SQRT6 * n)
-    return BoundBreakdown(
-        theorem="score_chi2_level", beta=beta,
-        terms=[("third_moment_sqrt_n", t1),
-               ("smoothed_comparison_sqrt_n", t2),
-               ("expansion_n1", t3)],
-        inputs={"d": d, "n": n, "c_b4": ledger.c_b4,
-                "x_w4_mean": ms.x_w4_mean, "sigma_cond": ms.sigma_cond})
+    return _ball_normal_breakdown(ms, beta, ledger, ms.x_w3_frob,
+                                  "score_chi2_level", {})
+
+
+# ---------------------------------------------------------------------------
+# theorem table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """A named certificate.  ``evaluate(ms, beta, ledger)`` looks its bound
+    function up when called; ``summary`` names the builder that makes ``ms``
+    from data ("sample", "pair", "bootstrap" or "score"; None when only a
+    supplied summary can); ``uses_beta`` says whether β applies."""
+
+    evaluate: Callable[..., BoundBreakdown]
+    summary: Optional[str]
+    uses_beta: bool = True
+
+
+#: certificates by name, in the order the command line lists them
+THEOREM_TABLE = {
+    "ball-normal": Theorem(lambda m, b, c: bound_ball_normal(m, b, c), "sample"),
+    "ball-same-cov": Theorem(
+        lambda m, b, c: bound_ball_general(m, b, c, same_cov=True), "pair"),
+    "ball-diff-cov": Theorem(
+        lambda m, b, c: bound_ball_general(m, b, c, same_cov=False), "pair"),
+    "halfspace-normal": Theorem(
+        lambda m, b, c: bound_halfspace_normal(m, b, c), "sample"),
+    "halfspace-same-cov": Theorem(
+        lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=True), "pair"),
+    "halfspace-diff-cov": Theorem(
+        lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=False), "pair"),
+    "symmetric": Theorem(
+        lambda m, b, c: bound_ball_symmetric(m, c, variant="sixth_moment"),
+        None, uses_beta=False),
+    "symmetric-max": Theorem(
+        lambda m, b, c: bound_ball_symmetric(m, c, variant="max_norm"),
+        None, uses_beta=False),
+    "bootstrap-ball": Theorem(lambda m, b, c: bootstrap_delta(m, b, c), "bootstrap"),
+    "elliptical": Theorem(lambda m, b, c: delta_W(m, b, c), "bootstrap"),
+    "score-bootstrap": Theorem(lambda m, b, c: delta_R(m, b, c), "score"),
+    "score-chi2": Theorem(lambda m, b, c: score2_bound(m, b, c), "sample"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +701,13 @@ def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# optimize_beta's search interval, golden-section tolerance and number of
+# independently searched sub-intervals
+BETA_LOWER = 0.05
+BETA_UPPER = 0.995
+BETA_TOL = 1e-4
+BETA_BRACKETS = 5
 
 
 def _golden_section(f: Callable[[float], float], lo: float, hi: float,
@@ -684,15 +728,14 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def optimize_beta(evaluator: Callable[[float], BoundBreakdown],
-                  lower: float = 0.05, upper: float = 0.995,
-                  tol: float = 1e-4, n_brackets: int = 5):
+def optimize_beta(evaluator: Callable[[float], BoundBreakdown]):
     """Minimize a bound's total over β by bracketed golden-section search.
 
-    The search domain is partitioned into ``n_brackets`` sub-intervals, each
-    searched independently (the totals need not be unimodal on the whole
-    interval).  β = 0.829 is always evaluated as a fallback candidate, so the
-    returned total never exceeds the default-β evaluation.
+    The search domain [BETA_LOWER, BETA_UPPER] is partitioned into
+    ``BETA_BRACKETS`` sub-intervals, each searched independently (the totals
+    need not be unimodal on the whole interval).  β = 0.829 is always
+    evaluated as a fallback candidate, so the returned total never exceeds
+    the default-β evaluation.
     Returns ``(beta_star, breakdown_at_beta_star)``.
     """
 
@@ -703,12 +746,10 @@ def optimize_beta(evaluator: Callable[[float], BoundBreakdown],
             return math.inf
         return v if math.isfinite(v) else math.inf
 
-    candidates = []
-    if lower < DEFAULT_BETA < upper:
-        candidates.append(DEFAULT_BETA)
-    edges = np.linspace(lower, upper, n_brackets + 1)
+    candidates = [DEFAULT_BETA]
+    edges = np.linspace(BETA_LOWER, BETA_UPPER, BETA_BRACKETS + 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        candidates.append(_golden_section(f, float(a), float(b), tol))
+        candidates.append(_golden_section(f, float(a), float(b), BETA_TOL))
     finite = [(f(beta), beta) for beta in candidates]
     finite = [(v, beta) for v, beta in finite if math.isfinite(v)]
     if not finite:
@@ -735,7 +776,7 @@ def _sigma_stats(spd: SpdMatrix) -> dict:
 def summarize_gaussian(sigma, n: int) -> MomentSummary:
     """Exact moment summary of 𝒩(0, Σ): zero whitened third moment,
     𝔼‖Σ^{-1/2}Z‖⁴ = d² + 2d, ‖𝔼(Σ^{-1/2}Z)^⊗4‖ = 3."""
-    spd = sigma if isinstance(sigma, SpdMatrix) else SpdMatrix(np.asarray(sigma))
+    spd = SpdMatrix.coerce(sigma)
     d = spd.dim
     tr = spd.trace
     tr2 = float(np.sum(spd.eigenvalues ** 2))
@@ -752,6 +793,36 @@ def _tensor_norm_pack(t: MomentTensor):
             nonzero_count(t))
 
 
+def _centered(x: Sample) -> Sample:
+    return Sample(x.data - x.data.mean(axis=0))
+
+
+def _moments(rows: Sample):
+    """(𝔼X^⊗3, 𝔼‖X‖⁴) of the rows X."""
+    return (empirical_moment(rows, 3),
+            float((np.sum(rows.data ** 2, axis=1) ** 2).mean()))
+
+
+def _fourth_op(rows: Sample, wanted: bool) -> Optional[float]:
+    return operator_norm(empirical_moment(rows, 4)).value if wanted else None
+
+
+def _one_sample(cx: Sample, sigma, n: int, with_fourth_op: bool):
+    """Summary of the centered rows ``cx`` (Σ defaults to their biased
+    covariance), returned with Σ, 𝔼W^⊗3 of W = Σ^{-1/2}X and 𝔼X^⊗3."""
+    spd = SpdMatrix.coerce(cx.covariance() if sigma is None else sigma)
+    c3, c4_mean = _moments(cx)
+    w = whiten(cx, spd)
+    w3, w4_mean = _moments(w)
+    w3f, w3o, w3m, w3n = _tensor_norm_pack(w3)
+    ms = MomentSummary(
+        d=cx.dim, n=n,
+        x_w3_frob=w3f, x_w3_op=w3o, x_w3_max=w3m, x_w3_nonzero=w3n,
+        x_w4_mean=w4_mean, x_w4_op=_fourth_op(w, with_fourth_op),
+        x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, **_sigma_stats(spd))
+    return ms, spd, w3, c3
+
+
 def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
                      with_fourth_op: bool = True) -> MomentSummary:
     """Empirical one-sample moment summary.
@@ -760,24 +831,8 @@ def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
     covariance is used.  ``n`` overrides the sum length the bound is for
     (defaults to the sample size).
     """
-    spd = (sigma if isinstance(sigma, SpdMatrix)
-           else SpdMatrix(np.asarray(sigma)) if sigma is not None
-           else SpdMatrix(x.covariance()))
-    n_eff = n if n is not None else x.n
-    centered = Sample(x.data - x.data.mean(axis=0))
-    wx = whiten(centered, spd)
-    w3 = empirical_moment(wx, 3)
-    w3f, w3o, w3m, w3n = _tensor_norm_pack(w3)
-    w4_mean = float((np.sum(wx.data ** 2, axis=1) ** 2).mean())
-    w4_op = operator_norm(empirical_moment(wx, 4)).value if with_fourth_op else None
-    c3 = empirical_moment(centered, 3)
-    return MomentSummary(
-        d=x.dim, n=n_eff,
-        x_w3_frob=w3f, x_w3_op=w3o, x_w3_max=w3m, x_w3_nonzero=w3n,
-        x_w4_mean=w4_mean, x_w4_op=w4_op,
-        x_c3_frob=frobenius_norm(c3),
-        x_c4_mean=float((np.sum(centered.data ** 2, axis=1) ** 2).mean()),
-        **_sigma_stats(spd))
+    return _one_sample(_centered(x), x.covariance() if sigma is None else sigma,
+                       n if n is not None else x.n, with_fourth_op)[0]
 
 
 def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
@@ -791,68 +846,51 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     """
     if x.dim != t.dim:
         raise ValueError("samples have different dimensions")
-    n_eff = n if n is not None else x.n
-    cx = Sample(x.data - x.data.mean(axis=0))
-    ct = Sample(t.data - t.data.mean(axis=0))
-    spd_x = (sigma if isinstance(sigma, SpdMatrix)
-             else SpdMatrix(np.asarray(sigma)) if sigma is not None
-             else SpdMatrix(cx.covariance()))
-    base = summarize_sample(x, sigma=spd_x, n=n_eff, with_fourth_op=with_fourth_op)
+    cx, ct = _centered(x), _centered(t)
+    base, spd_x, w3, c3 = _one_sample(cx, sigma, n if n is not None else x.n,
+                                      with_fourth_op)
     if same_cov:
         wt = whiten(ct, spd_x)
-        wx = whiten(cx, spd_x)
-        dw3 = empirical_moment(wx, 3) - empirical_moment(wt, 3)
-        f, o, m, nz = _tensor_norm_pack(dw3)
+        w3_t, base.t_w4_mean = _moments(wt)
+        base.t_w4_op = _fourth_op(wt, with_fourth_op)
+        f, o, m, nz = _tensor_norm_pack(w3 - w3_t)
         base.dw3_frob, base.dw3_op, base.dw3_max, base.dw3_nonzero = f, o, m, nz
-        base.t_w4_mean = float((np.sum(wt.data ** 2, axis=1) ** 2).mean())
-        base.t_w4_op = (operator_norm(empirical_moment(wt, 4)).value
-                        if with_fourth_op else None)
         return base
-    spd_t = (sigma_t if isinstance(sigma_t, SpdMatrix)
-             else SpdMatrix(np.asarray(sigma_t)) if sigma_t is not None
-             else SpdMatrix(ct.covariance()))
+    spd_t = SpdMatrix.coerce(ct.covariance() if sigma_t is None else sigma_t)
+    c3_t, base.t_c4_mean = _moments(ct)
     gap = spd_x.matrix - spd_t.matrix
     base.sigma_t_op = spd_t.operator_norm
     base.sigma_t_min_eig = spd_t.min_eigenvalue
     base.cov_gap_frob = float(np.linalg.norm(gap))
     base.cov_gap_op = float(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.T))).max())
-    d3 = empirical_moment(cx, 3) - empirical_moment(ct, 3)
-    f, o, m, nz = _tensor_norm_pack(d3)
+    f, o, m, nz = _tensor_norm_pack(c3 - c3_t)
     base.d3_frob, base.d3_op, base.d3_max, base.d3_nonzero = f, o, m, nz
-    base.t_c4_mean = float((np.sum(ct.data ** 2, axis=1) ** 2).mean())
-    if with_fourth_op:
-        base.x_raw4_op = operator_norm(empirical_moment(cx, 4)).value
-        base.t_raw4_op = operator_norm(empirical_moment(ct, 4)).value
+    base.x_raw4_op = _fourth_op(cx, with_fourth_op)
+    base.t_raw4_op = _fourth_op(ct, with_fourth_op)
     base.lambda0_sq = min(spd_x.min_eigenvalue, spd_t.min_eigenvalue)
     return base
 
 
-def bootstrap_summary(x: Sample, sigma2: float, sigma=None,
-                      weight=None) -> MomentSummary:
+def bootstrap_summary(x: Sample, sigma2: float, sigma=None, weight=None,
+                      n: Optional[int] = None) -> MomentSummary:
     """Moment summary for the bootstrap certificates.
 
     ``sigma2`` is the user-supplied sub-Gaussian variance factor of the
     (possibly ``weight``^{1/2}-transformed) coordinates.  ``weight`` is the
     p.d. matrix W of an elliptical confidence set; when given, observations
-    are transformed by W^{1/2} before summarizing.
+    are transformed by W^{1/2} before summarizing.  ``n`` overrides the sum
+    length the bound is for (defaults to the sample size).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    data = x.data
     if weight is not None:
-        w_spd = weight if isinstance(weight, SpdMatrix) else SpdMatrix(np.asarray(weight))
-        data = data @ w_spd.sqrt()
-    xt = Sample(data)
-    centered = Sample(xt.data - xt.data.mean(axis=0))
-    spd = (sigma if isinstance(sigma, SpdMatrix)
-           else SpdMatrix(np.asarray(sigma)) if sigma is not None
-           else SpdMatrix(centered.covariance()))
-    c3 = empirical_moment(centered, 3)
+        x = Sample(x.data @ SpdMatrix.coerce(weight).sqrt())
+    centered = _centered(x)
+    spd = SpdMatrix.coerce(centered.covariance() if sigma is None else sigma)
+    c3, c4_mean = _moments(centered)
     return MomentSummary(
-        d=xt.dim, n=xt.n,
-        x_c3_frob=frobenius_norm(c3),
-        x_c4_mean=float((np.sum(centered.data ** 2, axis=1) ** 2).mean()),
-        sigma2=sigma2,
+        d=x.dim, n=n if n is not None else x.n,
+        x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, sigma2=sigma2,
         **_sigma_stats(spd))
 
 
@@ -860,22 +898,17 @@ def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
     """Summary for the bootstrap score test certificate.
 
     ``scores`` holds per-observation score rows at the tested parameter;
-    under H₀ they have mean zero.  ``info`` is the Fisher information of the
-    full sample (defaults to n·(sample covariance of the scores), the
-    correctly-specified value); the covariance slots carry info/n.
+    under H₀ they have mean zero, so they are summarized uncentered.
+    ``info`` is the Fisher information of the full sample (defaults to
+    n·(sample covariance of the scores), the correctly-specified value); the
+    covariance slots carry info/n.
     """
     if sigma2_s <= 0:
         raise ValueError("sigma2_s must be positive")
-    n = scores.n
-    if info is None:
-        info_n = scores.covariance()  # I(θ')/n for a correctly specified model
-    else:
-        info_n = np.asarray(info, dtype=float) / n
-    spd = SpdMatrix(info_n)
-    c3 = empirical_moment(scores, 3)  # under H₀ the scores are centered
+    spd = SpdMatrix(scores.covariance() if info is None
+                    else np.asarray(info, dtype=float) / scores.n)
+    c3, c4_mean = _moments(scores)
     return MomentSummary(
-        d=scores.dim, n=n,
-        x_c3_frob=frobenius_norm(c3),
-        x_c4_mean=float((np.sum(scores.data ** 2, axis=1) ** 2).mean()),
-        sigma2=sigma2_s,
+        d=scores.dim, n=scores.n,
+        x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, sigma2=sigma2_s,
         **_sigma_stats(spd))

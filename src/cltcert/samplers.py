@@ -1,5 +1,5 @@
 """Benchmark distributions, the two-point mixing law, the moment-matched
-smoothing construction, and concentration/sub-Gaussian helpers.
+smoothing construction, and the sub-Gaussian factor heuristic.
 
 Reproducibility contract: every sampler is a pure function of
 ``(parameters, n, seed)``.  Derived randomness uses :func:`substream`, which
@@ -9,7 +9,6 @@ replicates never share or race a generator.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ __all__ = [
     "sample_laplace_product",
     "sample_exponential_centered",
     "construct_Y",
-    "bernstein_tail",
-    "product_tail",
     "sub_gaussian_factor",
     "substream",
     "FAMILIES",
@@ -108,7 +105,7 @@ def alpha_law(beta: float) -> TwoPointLaw:
 
 def sample_gaussian(sigma, n: int, seed: int, mean=None) -> Sample:
     """n i.i.d. rows from 𝒩(mean, Σ)."""
-    spd = sigma if isinstance(sigma, SpdMatrix) else SpdMatrix(np.asarray(sigma))
+    spd = SpdMatrix.coerce(sigma)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, spd.dim))
     x = z @ spd.sqrt()
@@ -168,7 +165,7 @@ FAMILIES = ("gaussian", "portnoy_mixed", "symmetric_L", "laplace_product",
 
 @dataclass
 class DistributionSpec:
-    """Serializable description of a benchmark distribution.
+    """Description of a benchmark distribution.
 
     ``params`` is family-specific: ``{"cov": [[...]]}`` (optional, default
     I_d) and ``{"mean": [...]}`` for ``gaussian``; ``{"path": ...}`` for
@@ -228,17 +225,6 @@ class DistributionSpec:
         idx = rng.integers(0, data.n, size=n)
         return Sample(data.data[idx], seed=s, label="user_csv")
 
-    def to_json(self) -> str:
-        return json.dumps({"family": self.family, "d": self.d,
-                           "params": self.params, "seed": self.seed},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionSpec":
-        payload = json.loads(text)
-        return cls(family=payload["family"], d=int(payload["d"]),
-                   params=payload.get("params", {}), seed=payload.get("seed"))
-
 
 # ---------------------------------------------------------------------------
 # moment-matched construction Y = Z + α·X̃
@@ -295,22 +281,8 @@ def construct_Y(x: Sample, beta: float, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# concentration radii and the sub-Gaussian factor heuristic
+# the sub-Gaussian factor heuristic
 # ---------------------------------------------------------------------------
-
-
-def bernstein_tail(nu: float, c: float, t: float) -> float:
-    """Bernstein deviation radius √(2νt) + c·t (radius, not probability)."""
-    if min(nu, c, t) < 0:
-        raise ValueError("nu, c, t must be nonnegative")
-    return math.sqrt(2.0 * nu * t) + c * t
-
-
-def product_tail(sigma2: float, t: float) -> float:
-    """Deviation radius 4σ²(√(8t) + t) for products of sub-Gaussian pairs."""
-    if min(sigma2, t) < 0:
-        raise ValueError("sigma2 and t must be nonnegative")
-    return 4.0 * sigma2 * (math.sqrt(8.0 * t) + t)
 
 
 @dataclass(frozen=True)

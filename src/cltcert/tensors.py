@@ -16,11 +16,9 @@ d ≤ 22 for order 6) keep the largest tensor under 2^28 entries.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -91,59 +89,11 @@ class MomentTensor:
             )
         object.__setattr__(self, "data", arr)
 
-    # ---- construction helpers -------------------------------------------
-    @classmethod
-    def zeros(cls, order: int, dim: int) -> "MomentTensor":
-        _check_dense_size(order, dim)
-        return cls(order, dim, np.zeros((dim,) * order))
-
-    @classmethod
-    def from_flat(cls, order: int, dim: int, entries: Sequence[float]) -> "MomentTensor":
-        arr = np.asarray(list(entries), dtype=float)
-        if arr.size != dim ** order:
-            raise TensorShapeError(
-                f"expected {dim ** order} entries for order={order} dim={dim}, "
-                f"got {arr.size}"
-            )
-        return cls(order, dim, arr.reshape((dim,) * order))
-
     # ---- algebra ---------------------------------------------------------
     def __sub__(self, other: "MomentTensor") -> "MomentTensor":
         if (self.order, self.dim) != (other.order, other.dim):
             raise TensorShapeError("tensor shapes do not match")
         return MomentTensor(self.order, self.dim, self.data - other.data)
-
-    def __add__(self, other: "MomentTensor") -> "MomentTensor":
-        if (self.order, self.dim) != (other.order, other.dim):
-            raise TensorShapeError("tensor shapes do not match")
-        return MomentTensor(self.order, self.dim, self.data + other.data)
-
-    def apply_matrix(self, m: np.ndarray) -> "MomentTensor":
-        """Contract every mode with ``m`` (rows index the new coordinates).
-
-        For a moment tensor E[X^{⊗k}] this returns E[(MX)^{⊗k}].
-        """
-        out = self.data
-        for axis in range(self.order):
-            out = np.tensordot(m, out, axes=([1], [axis]))
-            # tensordot puts the new axis first; rotate it back into place
-            out = np.moveaxis(out, 0, axis)
-        return MomentTensor(self.order, self.dim, out)
-
-    # ---- serialization ----------------------------------------------------
-    def to_json(self) -> str:
-        payload = {
-            "order": self.order,
-            "dim": self.dim,
-            "entries": [float(v) for v in self.data.reshape(-1)],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentTensor":
-        payload = json.loads(text)
-        return cls.from_flat(int(payload["order"]), int(payload["dim"]),
-                             payload["entries"])
 
 
 class SpdMatrix:
@@ -177,6 +127,12 @@ class SpdMatrix:
         self.matrix = m
         self.eigenvalues = eigval
         self.eigenvectors = eigvec
+
+    @classmethod
+    def coerce(cls, matrix) -> "SpdMatrix":
+        """``matrix`` itself when it is already an SpdMatrix, else a
+        validated SpdMatrix built from it."""
+        return matrix if isinstance(matrix, cls) else cls(matrix)
 
     # ---- basic queries ----------------------------------------------------
     @property
@@ -214,9 +170,6 @@ class SpdMatrix:
     def sqrt(self) -> np.ndarray:
         return self._apply(np.sqrt)
 
-    def inverse(self) -> np.ndarray:
-        return self._apply(lambda lam: 1.0 / lam)
-
     def inv_sqrt(self) -> np.ndarray:
         """Σ^{-1/2}.  Refuses ill-conditioned inputs rather than amplifying
         noise: condition numbers above 1e12 raise :class:`SpdError`."""
@@ -226,12 +179,6 @@ class SpdMatrix:
                 f"{SPD_MAX_CONDITION:.1e}; refusing to form an inverse square root"
             )
         return self._apply(lambda lam: lam ** -0.5)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "dim": self.dim,
-            "entries": [float(v) for v in self.matrix.reshape(-1)],
-        }, sort_keys=True)
 
 
 @dataclass
@@ -363,9 +310,6 @@ class OperatorNormResult:
     value: float
     converged: bool
     iterations: int
-
-    def __float__(self) -> float:  # lets callers use the result as a number
-        return self.value
 
 
 def _contract_to_vector(data: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:

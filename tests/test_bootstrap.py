@@ -2,15 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cltcert import bootstrap
 from cltcert.bootstrap import (
+    RESAMPLE_CHUNK_CELLS,
+    _resample_means,
     bootstrap_ball_quantile,
     bootstrap_score_test,
     chi2_quantile,
-    efron_resample,
     elliptical_coverage_experiment,
     exponential_rate_scores,
     gaussian_location_scores,
@@ -26,27 +29,44 @@ from cltcert.tensors import Sample, SpdError
 # Efron resampling
 # ---------------------------------------------------------------------------
 
-def test_efron_preconditions_and_shape():
-    with pytest.raises(ValueError):
-        efron_resample(Sample(np.array([[1.0, 2.0]])), seed=0)
-    s = sample_gaussian(np.eye(2), 50, seed=1)
-    r = efron_resample(s, seed=0)
-    assert r.n == 50 and r.dim == 2
-    assert r is not s
+def test_resample_kernel_matches_one_shot_multinomial(monkeypatch):
+    # a 1000-cell budget splits B = 25 replicates of n = 300 rows into
+    # chunks of 3 rows, the last one short
+    monkeypatch.setattr(bootstrap, "RESAMPLE_CHUNK_CELLS", 1000)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((300, 3))
+    centered = x - x.mean(axis=0)
+    chunked = _resample_means(centered, 25, np.random.default_rng(9))
+    counts = np.random.default_rng(9).multinomial(300, np.full(300, 1 / 300),
+                                                  size=25)
+    np.testing.assert_allclose(chunked, counts @ centered / 300, rtol=1e-12)
+
+
+def test_resample_kernel_memory_stays_within_the_chunk_budget():
+    # n·B is 8 chunk budgets; one B×n count matrix alone would take
+    # 8 bytes × 8 budgets
+    n, b = 2 ** 16, 8 * RESAMPLE_CHUNK_CELLS // 2 ** 16
+    s = sample_gaussian(np.eye(3), n, seed=4)
+    tracemalloc.start()
+    try:
+        res = bootstrap_ball_quantile(s, np.eye(3), alpha=0.1, B=b, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.replicates.size == b
+    assert peak < 3 * 8 * RESAMPLE_CHUNK_CELLS
 
 
 def test_efron_mean_and_covariance_identities_mc():
     s = sample_gaussian(np.diag([1.0, 3.0]), 100, seed=2)
     sigma_hat = s.covariance()  # biased (ddof=0) sample covariance
-    means, covs = [], []
-    for k in range(400):
-        r = efron_resample(s, seed=k)
-        means.append(r.data.mean(axis=0))
-        covs.append((r.data.T @ r.data) / r.n)
-    mean_of_means = np.mean(means, axis=0)
+    reps = 20_000
+    means = _resample_means(s.data - s.mean(), reps, np.random.default_rng(2))
     # E*(X̄*) = 0 exactly; MC noise is ~ sqrt(tr Σ̂ / (n·reps))
-    assert np.abs(mean_of_means).max() < 4 * math.sqrt(3.0 / (100 * 400))
-    assert np.allclose(np.mean(covs, axis=0), sigma_hat, atol=0.08)
+    assert np.abs(means.mean(axis=0)).max() < 4 * math.sqrt(3.0 / (100 * reps))
+    # Cov*(X̄*) = Σ̂/n; the (2,2) entry's MC sd is about 3·sqrt(2/reps) = 0.03
+    np.testing.assert_allclose(100 * means.T @ means / reps, sigma_hat,
+                               atol=0.15)
 
 
 def test_efron_dense_enumeration_identities():
@@ -265,7 +285,7 @@ def test_coverage_certificate_feasible_and_infeasible():
                                         sigma2=0.05, pilot_n=4000)
     assert ok.certificate is not None
     assert ok.certificate.theorem == "elliptical_coverage"
-    assert ok.certificate.term("event_probability_n1") == pytest.approx(1 / 4000)
+    assert ok.certificate.term("event_probability_n1") == pytest.approx(1 / 400)
     assert ok.certificate_error is None
 
     bad = elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=400,

@@ -244,14 +244,6 @@ def test_score_test_rao_requires_info(score_csv, capsys):
     assert "--info" in err
 
 
-def test_score_test_bootstrap_requires_seed(score_csv, capsys):
-    code, _, err = run_cli(
-        ["score-test", "--method", "bootstrap", "--data", score_csv,
-         "--alpha", "0.05"], capsys)
-    assert code == 2
-    assert "--seed" in err
-
-
 # ---------------------------------------------------------------------------
 # experiment sweeps
 # ---------------------------------------------------------------------------

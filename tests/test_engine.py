@@ -47,7 +47,7 @@ H3_REF = 5.730561767996964
 
 def test_ledger_defaults_and_overrides():
     led = ConstantsLedger()
-    assert led.c_b4 == 9.5 and led.c_h4 == 9.5 and led.c_b6 == 2.9
+    assert led.c_b4 == 9.5 and led.c_b6 == 2.9
     bumped = led.with_overrides(c_phi4=1.2)
     assert bumped.c_b4 == pytest.approx(11.4)
     assert bumped.c_b6 == 2.9
@@ -255,6 +255,7 @@ def test_halfspace_normal_gaussian_hand_value():
     hand = (9.5 * math.sqrt((H1_REF + 0.829 ** -4) * 3.0 + H3_REF) / 100.0
             + (H1_REF * 3.0 + 3 * H2_REF) / (2 * SQRT6 * 1e4))
     assert bb.total == pytest.approx(hand, rel=1e-12)
+    assert bb.inputs["c_h4"] == 9.5  # the fourth-order constant c_b4
 
 
 def test_halfspace_same_cov_and_diff_cov():

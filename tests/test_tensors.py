@@ -41,21 +41,11 @@ def test_moment_tensor_shape_validation():
     with pytest.raises(TensorShapeError):
         MomentTensor(3, 2, np.zeros((2, 2)))
     with pytest.raises(TensorShapeError):
-        MomentTensor.from_flat(2, 3, [1.0] * 8)
+        MomentTensor(2, 3, np.ones(8))
     # order-6 in d=22 is the largest admissible dense tensor
-    MomentTensor.zeros(6, 22)
+    MomentTensor(6, 22, np.zeros((22,) * 6))
     with pytest.raises(TensorShapeError):
-        MomentTensor.zeros(6, 30)
-
-
-def test_moment_tensor_json_round_trip():
-    rng = np.random.default_rng(7)
-    t = MomentTensor(3, 4, rng.standard_normal((4, 4, 4)))
-    t2 = MomentTensor.from_json(t.to_json())
-    assert t2.order == 3 and t2.dim == 4
-    np.testing.assert_array_equal(t.data, t2.data)
-    # serialization is deterministic
-    assert t.to_json() == t2.to_json()
+        MomentTensor(6, 30, np.zeros(1))
 
 
 def test_empirical_moment_matches_naive_loop():
@@ -80,15 +70,6 @@ def test_empirical_moment_centering_and_chunking():
     s = Sample(x)
     t = empirical_moment(s, 2, center=True, chunk=128)
     np.testing.assert_allclose(t.data, np.cov(x.T, bias=True), rtol=1e-10)
-
-
-def test_apply_matrix_is_pushforward():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((200, 3))
-    m = rng.standard_normal((3, 3))
-    direct = empirical_moment(Sample(x @ m.T), 3)
-    pushed = empirical_moment(Sample(x), 3).apply_matrix(m)
-    np.testing.assert_allclose(pushed.data, direct.data, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +181,6 @@ def test_spd_round_trip_and_inverse_sqrt():
     np.testing.assert_allclose(s.sqrt() @ s.sqrt(), sigma, rtol=1e-10, atol=1e-12)
     w = s.inv_sqrt()
     np.testing.assert_allclose(w @ sigma @ w, np.eye(4), rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(s.inverse() @ sigma, np.eye(4), rtol=1e-9, atol=1e-11)
     assert s.min_eigenvalue > 0.0
     assert s.operator_norm == pytest.approx(np.linalg.eigvalsh(sigma)[-1])
 
