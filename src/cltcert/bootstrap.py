@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .engine import (
     BoundBreakdown,
@@ -197,6 +196,7 @@ def chi2_quantile(alpha: float, d: int) -> float:
     _check_alpha(alpha)
     if d < 1:
         raise ValueError("d must be >= 1")
+    from scipy import special  # deferred: scipy's import dominates start-up
     return float(2.0 * special.gammaincinv(d / 2.0, 1.0 - alpha))
 
 

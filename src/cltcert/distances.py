@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .samplers import substream
 from .tensors import Sample
@@ -274,6 +273,7 @@ def anti_concentration_probe(d: int, eps: float, r_grid=None) -> float:
     if r_grid is None:
         r_grid = np.linspace(0.0, math.sqrt(d) + 6.0, 4001)
     r = np.asarray(r_grid, dtype=float)
+    from scipy import special  # deferred: scipy's import dominates start-up
     cdf_hi = special.gammainc(d / 2.0, (r + eps) ** 2 / 2.0)
     cdf_lo = special.gammainc(d / 2.0, r ** 2 / 2.0)
     return float(((cdf_hi - cdf_lo) / eps).max())

@@ -220,8 +220,10 @@ class MomentSummary:
     d4_max: Optional[float] = None
     m6_sym: Optional[float] = None              # max coordinate 6th moment
     lambda_z_sq: Optional[float] = None
-    # sub-Gaussian variance factor (user-supplied for certificates)
+    # sub-Gaussian variance factor (user-supplied for certificates) and the
+    # largest coordinate variance of the summarized rows, which it must reach
     sigma2: Optional[float] = None
+    coord_var_max: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.n < 1:
@@ -566,7 +568,10 @@ def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
 
     Requires the user-supplied sub-Gaussian variance factor σ² of the
     coordinates.  Feasibility demands σ²(d/√n)·C₁(t*) < λ_min(Σ); otherwise
-    an :class:`InfeasibleError` names the violated condition.
+    an :class:`InfeasibleError` names the violated condition.  When the
+    summary records its largest coordinate variance, ``inputs`` flags a σ²
+    below it as ``sigma2_below_variance`` (such a σ² cannot be a
+    sub-Gaussian factor, so the certificate does not hold as stated).
     """
     ms.require("sigma2", "sigma_min_eig", "sigma_frob", "sigma_op",
                "x_c4_mean", "x_c3_frob")
@@ -598,15 +603,18 @@ def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
     t2 = (4.0 * SQRT2 * ledger.c_b4 / lam0
           * math.sqrt(h1 * fourth + dd * (small + 0.5)) / math.sqrt(n))
     t3 = 2.0 * (h1 * fourth + dd * small) / (SQRT6 * lam0 ** 2 * n)
+    inputs = {"d": d, "n": n, "c_b4": ledger.c_b4, "sigma2": sigma2,
+              "t_star": t_star, "c1_star": c1s, "c2_star": c2s,
+              "moment_gap": gap, "lambda0_sq": lam0}
+    if ms.coord_var_max is not None:
+        inputs["sigma2_below_variance"] = sigma2 < ms.coord_var_max
     return BoundBreakdown(
         theorem=theorem, beta=beta,
         terms=[("covariance_gap", t0),
                ("third_moment_sqrt_n", t1),
                ("smoothed_comparison_sqrt_n", t2),
                ("expansion_n1", t3)],
-        inputs={"d": d, "n": n, "c_b4": ledger.c_b4, "sigma2": sigma2,
-                "t_star": t_star, "c1_star": c1s, "c2_star": c2s,
-                "moment_gap": gap, "lambda0_sq": lam0})
+        inputs=inputs)
 
 
 def delta_W(ms: MomentSummary, beta: float = DEFAULT_BETA,
@@ -803,6 +811,11 @@ def _moments(rows: Sample):
             float((np.sum(rows.data ** 2, axis=1) ** 2).mean()))
 
 
+def _coord_var_max(rows: Sample) -> float:
+    """Largest (biased) coordinate variance of the rows."""
+    return float(rows.data.var(axis=0).max())
+
+
 def _fourth_op(rows: Sample, wanted: bool) -> Optional[float]:
     return operator_norm(empirical_moment(rows, 4)).value if wanted else None
 
@@ -891,7 +904,7 @@ def bootstrap_summary(x: Sample, sigma2: float, sigma=None, weight=None,
     return MomentSummary(
         d=x.dim, n=n if n is not None else x.n,
         x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, sigma2=sigma2,
-        **_sigma_stats(spd))
+        coord_var_max=_coord_var_max(x), **_sigma_stats(spd))
 
 
 def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
@@ -911,4 +924,4 @@ def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
     return MomentSummary(
         d=scores.dim, n=scores.n,
         x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, sigma2=sigma2_s,
-        **_sigma_stats(spd))
+        coord_var_max=_coord_var_max(scores), **_sigma_stats(spd))

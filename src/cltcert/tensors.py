@@ -11,12 +11,21 @@ E[X^{⊗k}] (k up to 6) together with a handful of norms:
 
 Everything is stored densely; the admissible sizes (d ≤ 64 for order 4,
 d ≤ 22 for order 6) keep the largest tensor under 2^28 entries.
+
+The two hot kernels are matrix products on unfoldings.  ``empirical_moment``
+forms the d^⌊k/2⌋×d^⌈k/2⌉ unfolding of the moment as one GEMM of row-wise
+Kronecker powers per row chunk, and ``operator_norm`` runs every power
+iteration start at once, one GEMM with the d×d^(k−1) unfolding per step.
+Both build their Kronecker blocks in pieces of at most ``KRON_CHUNK_CELLS``
+cells, so beyond the dense tensor itself their memory does not grow with n
+or with the number of starts.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -241,15 +250,19 @@ class Sample:
         else:
             fh = path_or_buf
         try:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
+            header = next(csv.reader(fh), None)
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as loadtxt's warning
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", comments=None,
+                                 quotechar='"', ndmin=2)
         finally:
             if close:
                 fh.close()
-        if not rows:
+        if header is None:
+            raise ValueError("CSV sample is empty")
+        if arr.size == 0:
             raise ValueError("CSV sample has a header but no rows")
-        arr = np.asarray(rows, dtype=float)
         if arr.shape[1] != len(header):
             raise ValueError("CSV rows do not match the header width")
         return cls(arr, label=label)
@@ -259,16 +272,40 @@ class Sample:
 # moment computation and norms
 # --------------------------------------------------------------------------
 
-_EINSUM_LETTERS = "ijklmp"
+# cells (rows × d^m) of one row-wise Kronecker block that empirical_moment
+# and operator_norm build at once: 32 MB of float64
+KRON_CHUNK_CELLS = 2 ** 22
+
+
+def _kron_rows(x: np.ndarray, power: int) -> np.ndarray:
+    """Row-wise Kronecker power: row i is x_i^{⊗power} flattened in C order,
+    so that it pairs with a C-order unfolding of a dense tensor (a column of
+    ones for power 0)."""
+    if power == 0:
+        return np.ones((x.shape[0], 1))
+    out = x
+    for _ in range(power - 1):
+        out = (out[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+    return out
+
+
+def _unfolded_power_sum(block: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ over the rows of ``block``: a d^a×d^b GEMM
+    (one Kronecker block serves both sides when a = b)."""
+    right = _kron_rows(block, b)
+    left = right if a == b else _kron_rows(block, a)
+    return left.T @ right
 
 
 def empirical_moment(sample: Sample, order: int, center: bool = False,
                      chunk: int = 262144) -> MomentTensor:
     """Average outer power n^{-1} Σ_i x_i^{⊗k} as a dense tensor.
 
-    With ``center=True`` the sample mean is removed first.  Computation is
-    chunked so that order-4/6 moments of large samples do not materialize
-    n×d^k intermediates.
+    With ``center=True`` the sample mean is removed first.  Writing
+    k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is the
+    GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks of at most
+    ``chunk`` rows whose Kronecker blocks stay within ``KRON_CHUNK_CELLS``
+    cells (order 1 is a column sum).
     """
     if order < 1 or order > 6:
         raise ValueError(f"order must be in 1..6, got {order}")
@@ -276,14 +313,13 @@ def empirical_moment(sample: Sample, order: int, center: bool = False,
     x = sample.data
     if center:
         x = x - x.mean(axis=0)
-    n = x.shape[0]
-    letters = _EINSUM_LETTERS[:order]
-    spec = ",".join(f"n{c}" for c in letters) + "->" + letters
-    acc = np.zeros((sample.dim,) * order)
-    for start in range(0, n, chunk):
-        block = x[start:start + chunk]
-        acc += np.einsum(spec, *([block] * order), optimize=True)
-    return MomentTensor(order, sample.dim, acc / n)
+    n, d = x.shape
+    a, b = order // 2, order - order // 2
+    step = max(1, min(chunk, KRON_CHUNK_CELLS // d ** b))
+    acc = np.zeros((d ** a, d ** b))
+    for start in range(0, n, step):
+        acc += _unfolded_power_sum(x[start:start + step], a, b)
+    return MomentTensor(order, d, (acc / n).reshape((d,) * order))
 
 
 def frobenius_norm(tensor: MomentTensor) -> float:
@@ -312,16 +348,62 @@ class OperatorNormResult:
     iterations: int
 
 
-def _contract_to_vector(data: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    """A · v^{⊗(k-1)}: contract all but the first mode with v."""
-    out = data
-    for _ in range(order - 1):
-        out = np.tensordot(out, v, axes=([out.ndim - 1], [0]))
-    return out
+def _power_starts(d: int, n_restarts: int, seed: int) -> np.ndarray:
+    """Unit start vectors as rows: the basis e_i, the pairs (e_i ± e_j)/√2
+    for d ≤ 16, then ``n_restarts`` (at least one) random directions."""
+    rows = [np.eye(d)]
+    if d <= 16:
+        i, j = np.triu_indices(d, 1)
+        pairs = np.zeros((i.size, 2, d))
+        r = np.arange(i.size)
+        pairs[r, :, i] = 1.0
+        pairs[r, :, j] = (1.0, -1.0)
+        rows.append(pairs.reshape(-1, d) / np.sqrt(2.0))
+    g = np.random.default_rng(seed).standard_normal((max(n_restarts, 1), d))
+    rows.append(g / np.linalg.norm(g, axis=1, keepdims=True))
+    return np.concatenate(rows)
 
 
-def _rayleigh(data: np.ndarray, v: np.ndarray, order: int) -> float:
-    return float(_contract_to_vector(data, v, order) @ v)
+def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
+                 order: int, shift: float, max_iter: int, tol: float):
+    """Shifted power iteration of the rows of ``v`` on sign·A, where
+    ``unfolded`` is the d×d^(k−1) unfolding of A.  Returns, per start, the
+    final Rayleigh value f(v) = ⟨sign·A, v^{⊗k}⟩, its iteration count and
+    whether it met the fixed-point test; a start stops as soon as it
+    converges or its update vanishes."""
+    def contract(rows, signs):
+        # sign·A·v^{⊗(k−1)} for every row v: one GEMM on the unfolding
+        return signs[:, None] * (_kron_rows(rows, order - 1) @ unfolded.T)
+
+    fval = np.empty(v.shape[0])
+    iters = np.full(v.shape[0], max_iter)
+    converged = np.zeros(v.shape[0], dtype=bool)
+    active = np.arange(v.shape[0])
+    g = contract(v, sign)
+    f = np.einsum("ij,ij->i", g, v)
+    for it in range(max_iter):
+        w = g + shift * v
+        nw = np.linalg.norm(w, axis=1)
+        vanished = nw == 0.0  # such a start stops where it is, unconverged
+        v_new = w / np.where(vanished, 1.0, nw)[:, None]
+        g = contract(v_new, sign)
+        f_new = np.einsum("ij,ij->i", g, v_new)
+        step = np.linalg.norm(v_new - v, axis=1)
+        done = (~vanished & (step < 1e-8)
+                & (np.abs(f_new - f) <= tol * np.maximum(1.0, np.abs(f_new))))
+        v, f = v_new, np.where(vanished, f, f_new)
+        stop = vanished | done
+        if stop.any():
+            fval[active[stop]] = f[stop]
+            iters[active[stop]] = it + 1
+            converged[active[stop]] = done[stop]
+            keep = ~stop
+            active, v, g, f, sign = (active[keep], v[keep], g[keep], f[keep],
+                                     sign[keep])
+            if not active.size:
+                break
+    fval[active] = f
+    return fval, iters, converged
 
 
 def operator_norm(tensor: MomentTensor, n_restarts: int = 8, max_iter: int = 200,
@@ -330,9 +412,14 @@ def operator_norm(tensor: MomentTensor, n_restarts: int = 8, max_iter: int = 200
 
     Uses shifted symmetric higher-order power iteration from canonical basis
     vectors, normalized e_i ± e_j pairs (small d) and ``n_restarts`` random
-    unit starts, keeping the best stationary value.  The result is always a
-    certified lower bound on the true norm; ``converged`` reports whether the
-    final sweep reached the fixed-point tolerance for every start.
+    unit starts, keeping the best stationary value.  Even orders run every
+    start on A and on −A.  All starts iterate together as the rows of one
+    matrix: a step is one GEMM of their row-wise Kronecker powers with the
+    d×d^(k−1) unfolding of A, in blocks of rows that keep the Kronecker
+    powers within ``KRON_CHUNK_CELLS`` cells, and a start leaves its block
+    once it converges.  The result is always a certified lower bound on the
+    true norm; ``converged`` reports whether every start reached the
+    fixed-point tolerance, and ``iterations`` sums the steps of all starts.
     """
     k, d, data = tensor.order, tensor.dim, tensor.data
     if k == 1:
@@ -344,54 +431,22 @@ def operator_norm(tensor: MomentTensor, n_restarts: int = 8, max_iter: int = 200
         eig = np.linalg.eigvalsh(sym)
         return OperatorNormResult(float(np.abs(eig).max()), True, 0)
 
-    rng = np.random.default_rng(seed)
-    starts = [e for e in np.eye(d)]
-    if d <= 16:
-        for i in range(d):
-            for j in range(i + 1, d):
-                for s in (1.0, -1.0):
-                    v = np.zeros(d)
-                    v[i], v[j] = 1.0, s
-                    starts.append(v / np.sqrt(2.0))
-    for _ in range(max(n_restarts, 1)):
-        g = rng.standard_normal(d)
-        starts.append(g / np.linalg.norm(g))
-
+    starts = _power_starts(d, n_restarts, seed)
     # monotonicity shift: |f''| along the sphere is bounded by k(k-1)·‖A‖_F,
     # so this shift convexifies the update for every start
     shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
     signs = (1.0,) if k % 2 == 1 else (1.0, -1.0)
-
-    best = 0.0
-    all_converged = True
-    total_iters = 0
-    for sign in signs:
-        a = sign * data
-        for v0 in starts:
-            v = v0.copy()
-            fval = _rayleigh(a, v, k)
-            converged = False
-            for it in range(max_iter):
-                w = _contract_to_vector(a, v, k) + shift * v
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    break
-                v_new = w / nw
-                f_new = _rayleigh(a, v_new, k)
-                step = float(np.linalg.norm(v_new - v))
-                v = v_new
-                if abs(f_new - fval) <= tol * max(1.0, abs(f_new)) and step < 1e-8:
-                    fval = f_new
-                    converged = True
-                    break
-                fval = f_new
-            total_iters += it + 1
-            all_converged = all_converged and converged
-            # odd order: f(-v) = -f(v), so |f| is what we can reach anyway
-            cand = abs(fval) if k % 2 == 1 else fval
-            if cand > best:
-                best = cand
-    return OperatorNormResult(best, all_converged, total_iters)
+    v = np.tile(starts, (len(signs), 1))
+    sign = np.repeat(signs, starts.shape[0])
+    unfolded = data.reshape(d, d ** (k - 1))
+    step = max(1, KRON_CHUNK_CELLS // d ** (k - 1))
+    fval, iters, converged = (np.concatenate(parts) for parts in zip(*(
+        _power_block(unfolded, v[i:i + step], sign[i:i + step], k, shift,
+                     max_iter, tol) for i in range(0, v.shape[0], step))))
+    # odd order: f(-v) = -f(v), so |f| is what we can reach anyway
+    cand = np.abs(fval) if k % 2 == 1 else fval
+    return OperatorNormResult(float(np.nanmax(cand, initial=0.0)),
+                              bool(converged.all()), int(iters.sum()))
 
 
 def whiten(sample: Sample, sigma: Optional[SpdMatrix] = None) -> Sample:

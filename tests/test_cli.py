@@ -386,3 +386,13 @@ def test_subprocess_exit_codes_and_determinism(tmp_path):
         [sys.executable, "-m", "cltcert.cli", "bound", "--theorem",
          "no-such-theorem"], capture_output=True)
     assert proc.returncode == 2
+
+
+def test_cli_import_defers_scipy():
+    # scipy is imported by the two functions that need it, not at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cltcert.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

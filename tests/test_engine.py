@@ -1,5 +1,6 @@
 """Bound engine: h-functions, all bound formulas, β search, constants."""
 
+import dataclasses
 import json
 import math
 
@@ -495,3 +496,27 @@ def test_bootstrap_and_score_summaries():
     info = 2000 * np.eye(3)
     msr2 = score_summary(scores, sigma2_s=1.0, info=info)
     assert msr2.sigma_op == pytest.approx(1.0)
+
+
+def test_sigma2_below_the_coordinate_variance_is_flagged():
+    # N(0, I₃) rows have coordinate variances near 1: σ² = 0.05 cannot be
+    # their sub-Gaussian factor, σ² = 5 can.  The certificate is flagged, not
+    # refused (n = 10⁸ keeps both feasible).
+    x = sample_gaussian(np.eye(3), 4000, seed=13)
+    var = float(x.data.var(axis=0).max())
+    for sigma2, below in ((0.05, True), (5.0, False)):
+        ms = bootstrap_summary(x, sigma2=sigma2, n=10 ** 8)
+        assert ms.coord_var_max == pytest.approx(var, rel=1e-12)
+        assert bootstrap_delta(ms).inputs["sigma2_below_variance"] is below
+        msr = score_summary(x, sigma2_s=sigma2)
+        assert msr.coord_var_max == pytest.approx(var, rel=1e-12)
+        bb = delta_R(msr, lambda0_sq_override=0.5)
+        assert bb.inputs["sigma2_below_variance"] is below
+    # with a weight W the rows summarized are W^{1/2}x: variances near 100
+    msw = bootstrap_summary(x, sigma2=5.0, weight=100.0 * np.eye(3),
+                            n=10 ** 8)
+    assert msw.coord_var_max == pytest.approx(100.0 * var, rel=1e-9)
+    assert delta_W(msw).inputs["sigma2_below_variance"] is True
+    # a summary that does not record the variance carries no flag
+    bare = dataclasses.replace(ms, coord_var_max=None)
+    assert "sigma2_below_variance" not in bootstrap_delta(bare).inputs

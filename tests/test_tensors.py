@@ -3,11 +3,13 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from cltcert import tensors
 from cltcert.tensors import (
     MomentTensor,
     Sample,
@@ -33,6 +35,76 @@ def symmetrize(data):
     return out / math.factorial(k)
 
 
+def naive_moment(x, k):
+    out = np.zeros((x.shape[1],) * k)
+    for row in x:
+        outer = row
+        for _ in range(k - 1):
+            outer = np.multiply.outer(outer, row)
+        out += outer
+    return out / x.shape[0]
+
+
+def _contract_to_vector(data, v, order):
+    out = data
+    for _ in range(order - 1):
+        out = np.tensordot(out, v, axes=([out.ndim - 1], [0]))
+    return out
+
+
+def reference_operator_norm(tensor, n_restarts=8, max_iter=200, tol=1e-12,
+                            seed=0):
+    """The power iteration one start at a time: (value, converged, iterations)."""
+    k, d, data = tensor.order, tensor.dim, tensor.data
+    rng = np.random.default_rng(seed)
+    starts = [e for e in np.eye(d)]
+    if d <= 16:
+        for i in range(d):
+            for j in range(i + 1, d):
+                for s in (1.0, -1.0):
+                    v = np.zeros(d)
+                    v[i], v[j] = 1.0, s
+                    starts.append(v / np.sqrt(2.0))
+    for _ in range(max(n_restarts, 1)):
+        g = rng.standard_normal(d)
+        starts.append(g / np.linalg.norm(g))
+    shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
+    best, all_converged, total_iters = 0.0, True, 0
+    for sign in ((1.0,) if k % 2 == 1 else (1.0, -1.0)):
+        a = sign * data
+        for v0 in starts:
+            v = v0.copy()
+            fval = float(_contract_to_vector(a, v, k) @ v)
+            converged = False
+            for it in range(max_iter):
+                w = _contract_to_vector(a, v, k) + shift * v
+                nw = np.linalg.norm(w)
+                if nw == 0.0:
+                    break
+                v_new = w / nw
+                f_new = float(_contract_to_vector(a, v_new, k) @ v_new)
+                step = float(np.linalg.norm(v_new - v))
+                v = v_new
+                if abs(f_new - fval) <= tol * max(1.0, abs(f_new)) and step < 1e-8:
+                    fval = f_new
+                    converged = True
+                    break
+                fval = f_new
+            total_iters += it + 1
+            all_converged = all_converged and converged
+            best = max(best, abs(fval) if k % 2 == 1 else fval)
+    return best, all_converged, total_iters
+
+
+def assert_matches_reference(tensor, **kwargs):
+    res = operator_norm(tensor, **kwargs)
+    value, converged, iterations = reference_operator_norm(tensor, **kwargs)
+    assert res.iterations == iterations
+    assert res.converged == converged
+    assert res.value == pytest.approx(value, rel=1e-12)
+    return res
+
+
 # ---------------------------------------------------------------------------
 # MomentTensor basics
 # ---------------------------------------------------------------------------
@@ -52,16 +124,23 @@ def test_empirical_moment_matches_naive_loop():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((40, 3))
     s = Sample(x)
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5, 6):
         t = empirical_moment(s, k)
-        naive = np.zeros((3,) * k)
-        for row in x:
-            outer = row
-            for _ in range(k - 1):
-                outer = np.multiply.outer(outer, row)
-            naive += outer
-        naive /= x.shape[0]
-        np.testing.assert_allclose(t.data, naive, rtol=1e-12)
+        np.testing.assert_allclose(t.data, naive_moment(x, k), rtol=1e-12)
+
+
+def test_empirical_moment_accumulates_many_chunks(monkeypatch):
+    # rows per chunk: 7 by ``chunk``, then 5 by a 125-cell budget (d² = 25)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((40, 5))
+    s = Sample(x)
+    for k in (3, 4):
+        np.testing.assert_allclose(empirical_moment(s, k, chunk=7).data,
+                                   naive_moment(x, k), rtol=1e-12)
+    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 125)
+    for k in (3, 4):
+        np.testing.assert_allclose(empirical_moment(s, k).data,
+                                   naive_moment(x, k), rtol=1e-12)
 
 
 def test_empirical_moment_centering_and_chunking():
@@ -89,6 +168,42 @@ def test_frobenius_max_nonzero():
     data2[1, 1, 1] = 1e-14
     assert nonzero_count(MomentTensor(3, 3, data2)) == 2
     assert nonzero_count(MomentTensor(3, 3, data2), tol=0.0) == 3
+
+
+def _whitened_moment(rng, d, k):
+    x = rng.exponential(size=(2000, d)) - 1.0
+    return empirical_moment(whiten(Sample(x - x.mean(axis=0))), k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("d", [2, 5, 17])
+def test_operator_norm_matches_per_start_loop(d, k):
+    # d = 17 has no e_i ± e_j starts; random symmetric tensors converge on
+    # some starts and not on others
+    rng = np.random.default_rng(100 * d + k)
+    assert_matches_reference(_whitened_moment(rng, d, k))
+    if d < 17:
+        data = symmetrize(rng.standard_normal((d,) * k))
+        assert_matches_reference(MomentTensor(k, d, data), n_restarts=3,
+                                 seed=5)
+
+
+def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
+    # 66 starts (33 per sign) of 125-cell Kronecker rows in blocks of 7
+    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 7 * 125)
+    rng = np.random.default_rng(7)
+    assert_matches_reference(_whitened_moment(rng, 5, 4))
+    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 1)
+    assert_matches_reference(_whitened_moment(rng, 3, 3), max_iter=40)
+
+
+def test_operator_norm_zero_tensor_converges_in_one_step():
+    # every start is a fixed point of w = A·v^⊗(k−1) + shift·v when A = 0
+    for k in (3, 4):
+        zero = MomentTensor(k, 3, np.zeros((3,) * k))
+        res = assert_matches_reference(zero)
+        assert (res.value, res.converged) == (0.0, True)
+        assert res.iterations == (1 if k == 3 else 2) * (3 + 6 + 8)
 
 
 def test_operator_norm_order2_matches_eigh():
@@ -221,6 +336,41 @@ def test_sample_csv_round_trip_and_determinism():
     assert buf2.getvalue() == text
 
 
+@pytest.mark.parametrize("text", [
+    "x1,x2\n",                      # header only
+    "x1,x2\n\n",                   # header and a blank line
+    "x1,x2\n1.0,2.0\n3.0\n",       # ragged rows
+    "x1,x2,x3\n1.0,2.0\n3.0,4.0\n",  # rows narrower than the header
+    "x1,x2\n1.0,nan\n",             # non-finite entry
+    "x1,x2\n1.0,abc\n",             # not a number
+    "",                             # no header
+])
+def test_sample_from_csv_rejects_malformed_input(text, recwarn):
+    with pytest.raises(ValueError):
+        Sample.from_csv(io.StringIO(text))
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+def test_sample_from_csv_reads_files_and_quoted_fields(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text('x1,"x2"\n"1.5",-2e-3\n\n3,4\n')
+    s = Sample.from_csv(str(path), label="q")
+    np.testing.assert_array_equal(s.data, [[1.5, -2e-3], [3.0, 4.0]])
+    assert s.label == "q"
+    one = Sample.from_csv(io.StringIO("x1\n0.25\n"))
+    assert one.data.shape == (1, 1)
+
+
+def test_sample_csv_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((500, 4)) * np.array([1e-300, 1.0, 1e300, 3.0])
+    x[0, 1] = -0.0
+    path = str(tmp_path / "x.csv")
+    Sample(x).to_csv(path)
+    back = Sample.from_csv(path).data
+    assert back.tobytes() == x.tobytes()
+
+
 def test_sample_rejects_non_finite():
     with pytest.raises(ValueError):
         Sample(np.array([[1.0, np.nan]]))
@@ -283,3 +433,41 @@ def test_hermite_integral_bounded_by_sqrt_factorial():
         for k in range(0, 7):
             val = hermite_interval_integral(k, float(a), float(b))
             assert abs(val) <= math.sqrt(math.factorial(k)) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# memory: Kronecker blocks stay within the cell budget
+# ---------------------------------------------------------------------------
+
+BUDGET_CELLS = 2 ** 16
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch):
+    # order 4 at d = 8: 1024 rows of x⊗x per budget, n = 16 budgets of rows;
+    # one unchunked n×d² block alone would take 16 budgets
+    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", BUDGET_CELLS)
+    d = 8
+    s = Sample(np.random.default_rng(51).standard_normal((16 * 1024, d)))
+    peak = _peak_bytes(lambda: empirical_moment(s, 4))
+    assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
+
+
+def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch):
+    # order 4 at d = 16: 2 × 264 starts of 16³ Kronecker cells are 33
+    # budgets, iterated in blocks of 16 starts
+    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", BUDGET_CELLS)
+    d = 16
+    data = symmetrize(np.random.default_rng(52).standard_normal((d,) * 4))
+    t = MomentTensor(4, d, data)
+    peak = _peak_bytes(lambda: operator_norm(t, max_iter=3))
+    assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
