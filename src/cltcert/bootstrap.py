@@ -51,6 +51,9 @@ MIN_REPLICATES = 200
 # count cells (replicates × n) _resample_means draws at once: 32 MB of int64
 RESAMPLE_CHUNK_CELLS = 2 ** 22
 
+# least number of pilot rows the coverage certificate's moments come from
+COVERAGE_PILOT_N = 20_000
+
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
@@ -258,23 +261,16 @@ class LevelResult:
 
 
 def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
-                           seed: int = 0,
-                           spec: Optional[DistributionSpec] = None) -> LevelResult:
-    """Empirical level of the bootstrap score test under the null.
-
-    Scores default to i.i.d. standard Gaussians (σ_s-free run); a custom
-    zero-mean DistributionSpec can be probed instead.
-    """
+                           seed: int = 0) -> LevelResult:
+    """Empirical level of the bootstrap score test under the null, on
+    i.i.d. standard Gaussian scores (a σ_s-free run)."""
     _check_alpha(alpha)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rejections = 0
     for trial in range(trials):
         rng = np.random.default_rng(substream(seed, "score_level", trial))
-        if spec is None:
-            rows = rng.standard_normal((n, d))
-        else:
-            rows = spec.sample(n, seed=int(rng.integers(0, 2 ** 63 - 1))).data
+        rows = rng.standard_normal((n, d))
         statistic, threshold = _score_bootstrap(rows, B, alpha, rng)
         if statistic > threshold:
             rejections += 1
@@ -308,13 +304,12 @@ def _spec_mean(spec: DistributionSpec) -> np.ndarray:
 
 def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
                                    n: int, B: int, trials: int, seed: int = 0,
-                                   sigma2: Optional[float] = None,
-                                   pilot_n: int = 20_000) -> CoverageResult:
+                                   sigma2: Optional[float] = None) -> CoverageResult:
     """Coverage of the bootstrap ellipsoid {μ : √n‖W^{1/2}(X̄−μ)‖ ≤ q*_α}.
 
     With σ² supplied, attaches the coverage-error certificate at the
     experiment's ``n``, with moments estimated from a pilot sample of
-    ``max(n, pilot_n)`` rows; an infeasible certificate condition is
+    ``max(n, COVERAGE_PILOT_N)`` rows; an infeasible certificate condition is
     reported in ``certificate_error`` and does not abort the empirical run.
     """
     _check_alpha(alpha)
@@ -344,7 +339,7 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
     if sigma2 is not None:
         try:
             pilot_rng = np.random.default_rng(substream(seed, "coverage_pilot", 0))
-            pilot = spec.sample(max(n, pilot_n),
+            pilot = spec.sample(max(n, COVERAGE_PILOT_N),
                                 seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
             ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix,
                                    n=n)

@@ -96,8 +96,11 @@ def _bound_summary(args) -> MomentSummary:
     sigma = _load_matrix(args.sigma) if args.sigma else None
     theorem = args.theorem
     kind = THEOREM_TABLE[theorem].summary
+    # only the half-space bounds read the order-4 operator norms
+    fourth_op = theorem.startswith("halfspace")
     if kind == "sample":
-        return summarize_sample(x, sigma=sigma, n=args.n)
+        return summarize_sample(x, sigma=sigma, n=args.n,
+                                with_fourth_op=fourth_op)
     if kind == "pair":
         if not args.second_sample:
             raise ValueError(f"--theorem {theorem} needs --second-sample")
@@ -105,7 +108,7 @@ def _bound_summary(args) -> MomentSummary:
         sigma_t = _load_matrix(args.sigma_t) if args.sigma_t else None
         return summarize_pair(x, t, sigma=sigma, sigma_t=sigma_t,
                               same_cov=theorem.endswith("same-cov"),
-                              n=args.n)
+                              n=args.n, with_fourth_op=fourth_op)
     if kind is None:
         raise ValueError(f"--theorem {theorem} needs --moments "
                          "(sample moments cannot determine the matching law)")
@@ -255,6 +258,10 @@ def _experiment_coverage(args) -> list[str]:
     total = res.certificate.total if res.certificate else None
     if res.certificate_error:
         _note("certificate infeasible: " + res.certificate_error)
+    elif total is not None and res.certificate.inputs["sigma2_below_variance"]:
+        _note(f"warning: sigma2 = {args.sigma2:g} is below the largest "
+              "coordinate variance of the data, so bound_total does not "
+              "hold as stated")
     return [_sweep_row(args.d, args.n, args.family, res.coverage, res.stderr,
                        total, args.seed)]
 
@@ -312,7 +319,7 @@ def _experiment_normal_sweep(args) -> list[str]:
         est = delta_B_hat(Sample(s_n, label="sums"), Sample(z, label="ref"),
                           n_centers=args.centers, seed=args.seed,
                           n_boot=args.boot)
-        ms = summarize_sample(x, sigma=cov, n=n)
+        ms = summarize_sample(x, sigma=cov, n=n, with_fourth_op=False)
         bound = bound_ball_normal(ms)
         rows.append(_sweep_row(args.d, n, args.family, est.value, est.stderr,
                                bound.total, args.seed))

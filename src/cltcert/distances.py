@@ -259,8 +259,8 @@ def same_law_threshold(d: int, n: int, estimator: str = "ball",
 # anti-concentration probe
 # ---------------------------------------------------------------------------
 
-def anti_concentration_probe(d: int, eps: float, r_grid=None) -> float:
-    """sup_r [P(χ_d ≤ r+ε) − P(χ_d ≤ r)] / ε over a radius grid.
+def anti_concentration_probe(d: int, eps: float) -> float:
+    """sup_r [P(χ_d ≤ r+ε) − P(χ_d ≤ r)] / ε over 4001 radii in [0, √d + 6].
 
     Probes how much standard-Gaussian mass a thin spherical shell can hold,
     per unit thickness; stays bounded by the χ_d density maximum (≈ 0.8 at
@@ -270,9 +270,7 @@ def anti_concentration_probe(d: int, eps: float, r_grid=None) -> float:
         raise ValueError("d must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    if r_grid is None:
-        r_grid = np.linspace(0.0, math.sqrt(d) + 6.0, 4001)
-    r = np.asarray(r_grid, dtype=float)
+    r = np.linspace(0.0, math.sqrt(d) + 6.0, 4001)
     from scipy import special  # deferred: scipy's import dominates start-up
     cdf_hi = special.gammainc(d / 2.0, (r + eps) ** 2 / 2.0)
     cdf_lo = special.gammainc(d / 2.0, r ** 2 / 2.0)

@@ -334,6 +334,56 @@ class BoundBreakdown:
 # ---------------------------------------------------------------------------
 
 
+def _normal_breakdown(ms: MomentSummary, theorem: str, beta: float, r3: float,
+                      scale: float, weight: float, v4: float, free: float,
+                      gauss4: float, inputs: dict) -> BoundBreakdown:
+    """The three-term comparison with a law of the same covariance:
+
+        r₃/(√6β³√n) + scale·√((h₁ + weight)·v₄ + free)/√n
+                    + (h₁v₄ + h₂·gauss4)/(2√6n),
+
+    where r₃ is the third-moment envelope and v₄ the fourth-moment input.
+    """
+    h1, h2, _ = h_funcs(beta)
+    n = ms.n
+    root_n = math.sqrt(n)
+    return BoundBreakdown(
+        theorem=theorem, beta=beta,
+        terms=[("third_moment_sqrt_n", r3 / (SQRT6 * beta ** 3 * root_n)),
+               ("smoothed_comparison_sqrt_n",
+                scale * math.sqrt((h1 + weight) * v4 + free) / root_n),
+               ("expansion_n1", (h1 * v4 + h2 * gauss4) / (2.0 * SQRT6 * n))],
+        inputs={"d": ms.d, "n": n, **inputs})
+
+
+def _gap_breakdown(ms: MomentSummary, theorem: str, beta: float,
+                   ledger: ConstantsLedger, lam0: float, gap: float, t1: float,
+                   v4: float, v4_small: float, gauss4: float,
+                   inputs: dict) -> BoundBreakdown:
+    """The four-term comparison of two laws with different covariances,
+    normalized by λ₀² (the smaller of their least eigenvalues):
+
+        gap/(√2β²λ₀²) + t₁ + 4√2·c_b4/λ₀²·√(h₁v₄ + gauss4·(v₄' + ½))/√n
+                      + 2(h₁v₄ + gauss4·v₄')/(√6λ₀⁴n),
+
+    with t₁ the caller's third-moment term and v₄' the squared-covariance
+    input.
+    """
+    h1 = h_funcs(beta)[0]
+    n = ms.n
+    return BoundBreakdown(
+        theorem=theorem, beta=beta,
+        terms=[("covariance_gap", gap / (SQRT2 * beta ** 2 * lam0)),
+               ("third_moment_sqrt_n", t1),
+               ("smoothed_comparison_sqrt_n",
+                4.0 * SQRT2 * ledger.c_b4 / lam0
+                * math.sqrt(h1 * v4 + gauss4 * (v4_small + 0.5))
+                / math.sqrt(n)),
+               ("expansion_n1", 2.0 * (h1 * v4 + gauss4 * v4_small)
+                / (SQRT6 * lam0 ** 2 * n))],
+        inputs={"d": ms.d, "n": n, "lambda0_sq": lam0, **inputs})
+
+
 def bound_ball_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
                       ledger: ConstantsLedger = ConstantsLedger()) -> BoundBreakdown:
     """Distance to 𝒩(0, Σ) over Euclidean balls, fourth-moment version."""
@@ -341,28 +391,11 @@ def bound_ball_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
     surr = _surrogates(ms.x_w3_frob, ms.x_w3_op, ms.x_w3_max, ms.x_w3_nonzero,
                        ms.d)
     r3, chosen = _pick(surr)
-    return _ball_normal_breakdown(ms, beta, ledger, r3, "ball_normal",
-                                  {"r3_surrogates": surr, "r3_chosen": chosen})
-
-
-def _ball_normal_breakdown(ms: MomentSummary, beta: float,
-                           ledger: ConstantsLedger, r3: float, theorem: str,
-                           extra_inputs: dict) -> BoundBreakdown:
-    """The one-sample ball bound's terms for a given third-moment envelope."""
-    h1, h2, _ = h_funcs(beta)
-    d, n = ms.d, ms.n
-    dd = d * d + 2.0 * d
-    t1 = r3 / (SQRT6 * beta ** 3 * math.sqrt(n))
-    t2 = (2.0 * ledger.c_b4 * ms.sigma_cond
-          * math.sqrt((h1 + 0.25 / beta ** 4) * ms.x_w4_mean + dd)
-          / math.sqrt(n))
-    t3 = (h1 * ms.x_w4_mean + h2 * dd) / (2.0 * SQRT6 * n)
-    return BoundBreakdown(
-        theorem=theorem, beta=beta,
-        terms=[("third_moment_sqrt_n", t1),
-               ("smoothed_comparison_sqrt_n", t2),
-               ("expansion_n1", t3)],
-        inputs={"d": d, "n": n, "c_b4": ledger.c_b4, **extra_inputs,
+    dd = ms.d * ms.d + 2.0 * ms.d  # 𝔼‖Z‖⁴ of Z ~ 𝒩(0, I_d)
+    return _normal_breakdown(
+        ms, "ball_normal", beta, r3, scale=2.0 * ledger.c_b4 * ms.sigma_cond,
+        weight=0.25 / beta ** 4, v4=ms.x_w4_mean, free=dd, gauss4=dd,
+        inputs={"c_b4": ledger.c_b4, "r3_surrogates": surr, "r3_chosen": chosen,
                 "x_w4_mean": ms.x_w4_mean, "sigma_cond": ms.sigma_cond})
 
 
@@ -376,7 +409,6 @@ def bound_ball_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
     moments are unwhitened, normalized by λ₀² = min eigenvalue of the two
     covariances.
     """
-    h1, h2, _ = h_funcs(beta)
     d, n = ms.d, ms.n
     dd = d * d + 2.0 * d
     if same_cov:
@@ -384,19 +416,13 @@ def bound_ball_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
         surr = _surrogates(ms.dw3_frob, ms.dw3_op, ms.dw3_max, ms.dw3_nonzero, d)
         r3, chosen = _pick(surr)
         vbar4 = ms.x_w4_mean + ms.t_w4_mean
-        t1 = r3 / (SQRT6 * beta ** 3 * math.sqrt(n))
-        t2 = (SQRT8 * ledger.c_b4 * ms.sigma_cond
-              * math.sqrt((h1 + 0.25 / beta ** 4) * vbar4 + 2.0 * dd)
-              / math.sqrt(n))
-        t3 = h1 * vbar4 / (2.0 * SQRT6 * n)
-        return BoundBreakdown(
-            theorem="ball_two_sample_same_cov", beta=beta,
-            terms=[("third_moment_sqrt_n", t1),
-                   ("smoothed_comparison_sqrt_n", t2),
-                   ("expansion_n1", t3)],
-            inputs={"d": d, "n": n, "c_b4": ledger.c_b4,
-                    "r3_surrogates": surr, "r3_chosen": chosen,
-                    "vbar4": vbar4, "sigma_cond": ms.sigma_cond})
+        return _normal_breakdown(
+            ms, "ball_two_sample_same_cov", beta, r3,
+            scale=SQRT8 * ledger.c_b4 * ms.sigma_cond, weight=0.25 / beta ** 4,
+            v4=vbar4, free=2.0 * dd, gauss4=0.0,
+            inputs={"c_b4": ledger.c_b4, "r3_surrogates": surr,
+                    "r3_chosen": chosen, "vbar4": vbar4,
+                    "sigma_cond": ms.sigma_cond})
 
     ms.require("cov_gap_frob", "x_c4_mean", "t_c4_mean", "sigma_op", "sigma_t_op")
     lam0 = _lambda0_sq(ms)
@@ -406,19 +432,11 @@ def bound_ball_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
     surr = _surrogates(ms.d3_frob, ms.d3_op, ms.d3_max, ms.d3_nonzero, d,
                        scale=scale)
     r3, chosen = _pick(surr)
-    t0 = ms.cov_gap_frob / (SQRT2 * beta ** 2 * lam0)
     t1 = r3 / (SQRT6 * beta ** 3 * math.sqrt(n))
-    t2 = (4.0 * SQRT2 * ledger.c_b4 / lam0
-          * math.sqrt(h1 * v4 + dd * (v4_small + 0.5)) / math.sqrt(n))
-    t3 = 2.0 * (h1 * v4 + dd * v4_small) / (SQRT6 * lam0 ** 2 * n)
-    return BoundBreakdown(
-        theorem="ball_two_sample_diff_cov", beta=beta,
-        terms=[("covariance_gap", t0),
-               ("third_moment_sqrt_n", t1),
-               ("smoothed_comparison_sqrt_n", t2),
-               ("expansion_n1", t3)],
-        inputs={"d": d, "n": n, "c_b4": ledger.c_b4, "lambda0_sq": lam0,
-                "r3_surrogates": surr, "r3_chosen": chosen,
+    return _gap_breakdown(
+        ms, "ball_two_sample_diff_cov", beta, ledger, lam0,
+        gap=ms.cov_gap_frob, t1=t1, v4=v4, v4_small=v4_small, gauss4=dd,
+        inputs={"c_b4": ledger.c_b4, "r3_surrogates": surr, "r3_chosen": chosen,
                 "v4": v4, "v4_small": v4_small})
 
 
@@ -442,59 +460,36 @@ def bound_halfspace_normal(ms: MomentSummary, beta: float = DEFAULT_BETA,
                            ledger: ConstantsLedger = ConstantsLedger()) -> BoundBreakdown:
     """Distance to 𝒩(0, Σ) over half-spaces; dimension-free in d."""
     ms.require("x_w3_op", "x_w4_op")
-    h1, h2, h3 = h_funcs(beta)
-    n = ms.n
-    t1 = ms.x_w3_op / (SQRT6 * beta ** 3 * math.sqrt(n))
-    t2 = (ledger.c_b4
-          * math.sqrt((h1 + beta ** -4) * ms.x_w4_op + h3) / math.sqrt(n))
-    t3 = (h1 * ms.x_w4_op + 3.0 * h2) / (2.0 * SQRT6 * n)
-    return BoundBreakdown(
-        theorem="halfspace_normal", beta=beta,
-        terms=[("third_moment_sqrt_n", t1),
-               ("smoothed_comparison_sqrt_n", t2),
-               ("expansion_n1", t3)],
-        inputs={"d": ms.d, "n": n, "c_h4": ledger.c_b4,
-                "x_w3_op": ms.x_w3_op, "x_w4_op": ms.x_w4_op})
+    return _normal_breakdown(
+        ms, "halfspace_normal", beta, ms.x_w3_op, scale=ledger.c_b4,
+        weight=beta ** -4, v4=ms.x_w4_op, free=h_funcs(beta)[2], gauss4=3.0,
+        inputs={"c_h4": ledger.c_b4, "x_w3_op": ms.x_w3_op,
+                "x_w4_op": ms.x_w4_op})
 
 
 def bound_halfspace_general(ms: MomentSummary, beta: float = DEFAULT_BETA,
                             ledger: ConstantsLedger = ConstantsLedger(),
                             same_cov: bool = True) -> BoundBreakdown:
     """Distance between two i.i.d. sums over half-spaces."""
-    h1, h2, h3 = h_funcs(beta)
-    n = ms.n
     if same_cov:
         ms.require("dw3_op", "x_w4_op", "t_w4_op")
         vbar = ms.x_w4_op + ms.t_w4_op
-        t1 = ms.dw3_op / (SQRT6 * beta ** 3 * math.sqrt(n))
-        t2 = (ledger.c_b4 * math.sqrt((h1 + beta ** -4) * vbar + 2.0 * h3)
-              / math.sqrt(n))
-        t3 = h1 * vbar / (2.0 * SQRT6 * n)
-        return BoundBreakdown(
-            theorem="halfspace_two_sample_same_cov", beta=beta,
-            terms=[("third_moment_sqrt_n", t1),
-                   ("smoothed_comparison_sqrt_n", t2),
-                   ("expansion_n1", t3)],
-            inputs={"d": ms.d, "n": n, "c_h4": ledger.c_b4, "vbar_t4": vbar})
+        return _normal_breakdown(
+            ms, "halfspace_two_sample_same_cov", beta, ms.dw3_op,
+            scale=ledger.c_b4, weight=beta ** -4, v4=vbar,
+            free=2.0 * h_funcs(beta)[2], gauss4=0.0,
+            inputs={"c_h4": ledger.c_b4, "vbar_t4": vbar})
 
     ms.require("cov_gap_op", "d3_op", "x_raw4_op", "t_raw4_op",
                "sigma_op", "sigma_t_op")
     lam0 = _lambda0_sq(ms)
     vt4 = ms.x_raw4_op + ms.t_raw4_op
     v4_small = ms.sigma_op ** 2 + ms.sigma_t_op ** 2
-    t0 = ms.cov_gap_op / (SQRT2 * beta ** 2 * lam0)
-    t1 = ms.d3_op / (SQRT6 * beta ** 3 * lam0 ** 1.5 * math.sqrt(n))
-    t2 = (4.0 * SQRT2 * ledger.c_b4 / lam0
-          * math.sqrt(h1 * vt4 + 3.0 * (v4_small + 0.5)) / math.sqrt(n))
-    t3 = 2.0 * (h1 * vt4 + 3.0 * v4_small) / (SQRT6 * lam0 ** 2 * n)
-    return BoundBreakdown(
-        theorem="halfspace_two_sample_diff_cov", beta=beta,
-        terms=[("covariance_gap", t0),
-               ("third_moment_sqrt_n", t1),
-               ("smoothed_comparison_sqrt_n", t2),
-               ("expansion_n1", t3)],
-        inputs={"d": ms.d, "n": n, "c_h4": ledger.c_b4, "lambda0_sq": lam0,
-                "v_t4": vt4, "v4_small": v4_small})
+    t1 = ms.d3_op / (SQRT6 * beta ** 3 * lam0 ** 1.5 * math.sqrt(ms.n))
+    return _gap_breakdown(
+        ms, "halfspace_two_sample_diff_cov", beta, ledger, lam0,
+        gap=ms.cov_gap_op, t1=t1, v4=vt4, v4_small=v4_small, gauss4=3.0,
+        inputs={"c_h4": ledger.c_b4, "v_t4": vt4, "v4_small": v4_small})
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +556,7 @@ def concentration_consts(d: int, n: int, t: Optional[float] = None):
 
 def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
                     ledger: ConstantsLedger = ConstantsLedger(),
-                    theorem: str = "bootstrap_ball",
-                    lambda0_sq_override: Optional[float] = None) -> BoundBreakdown:
+                    theorem: str = "bootstrap_ball") -> BoundBreakdown:
     """Certified accuracy of the empirical-bootstrap approximation of the
     centered sum, over Euclidean balls, holding with probability ≥ 1 − 1/n.
 
@@ -575,24 +569,15 @@ def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
     """
     ms.require("sigma2", "sigma_min_eig", "sigma_frob", "sigma_op",
                "x_c4_mean", "x_c3_frob")
-    h1, _, _ = h_funcs(beta)
     d, n = ms.d, ms.n
     sigma2 = ms.sigma2
     t_star, c1s, c2s = concentration_consts(d, n)
     gap = sigma2 * (d / math.sqrt(n)) * c1s
-    if lambda0_sq_override is not None:
-        lam0 = lambda0_sq_override
-    else:
-        if gap >= ms.sigma_min_eig:
-            raise InfeasibleError(
-                f"feasibility condition sigma2*(d/sqrt(n))*C1(t*) < "
-                f"lambda_min(Sigma) fails: {gap:.6g} >= {ms.sigma_min_eig:.6g}")
-        lam0 = ms.sigma_min_eig - gap
-    if lam0 <= 0:
-        raise InfeasibleError("lambda0_sq must be positive")
-
-    dd = d * d + 2.0 * d
-    t0 = gap / (SQRT2 * beta ** 2 * lam0)
+    if gap >= ms.sigma_min_eig:
+        raise InfeasibleError(
+            f"feasibility condition sigma2*(d/sqrt(n))*C1(t*) < "
+            f"lambda_min(Sigma) fails: {gap:.6g} >= {ms.sigma_min_eig:.6g}")
+    lam0 = ms.sigma_min_eig - gap
     third = (4.0 * math.sqrt(sigma2) * math.sqrt(2.0 * d * t_star) / n
              * (ms.sigma_frob + sigma2 * (d / n) * t_star)
              + sigma2 * d ** 1.5 / n * c2s * (1.0 + 3.0 / math.sqrt(n))
@@ -600,26 +585,17 @@ def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
     t1 = third / (SQRT6 * beta ** 3 * lam0 ** 1.5)
     fourth = ms.x_c4_mean + 8.0 * (1.0 + n ** -2) * (2.0 * sigma2 * (d / n) * t_star) ** 2
     small = 3.0 * ms.sigma_op ** 2 + 2.0 * gap ** 2
-    t2 = (4.0 * SQRT2 * ledger.c_b4 / lam0
-          * math.sqrt(h1 * fourth + dd * (small + 0.5)) / math.sqrt(n))
-    t3 = 2.0 * (h1 * fourth + dd * small) / (SQRT6 * lam0 ** 2 * n)
-    inputs = {"d": d, "n": n, "c_b4": ledger.c_b4, "sigma2": sigma2,
-              "t_star": t_star, "c1_star": c1s, "c2_star": c2s,
-              "moment_gap": gap, "lambda0_sq": lam0}
+    inputs = {"c_b4": ledger.c_b4, "sigma2": sigma2, "t_star": t_star,
+              "c1_star": c1s, "c2_star": c2s, "moment_gap": gap}
     if ms.coord_var_max is not None:
         inputs["sigma2_below_variance"] = sigma2 < ms.coord_var_max
-    return BoundBreakdown(
-        theorem=theorem, beta=beta,
-        terms=[("covariance_gap", t0),
-               ("third_moment_sqrt_n", t1),
-               ("smoothed_comparison_sqrt_n", t2),
-               ("expansion_n1", t3)],
-        inputs=inputs)
+    return _gap_breakdown(ms, theorem, beta, ledger, lam0, gap=gap, t1=t1,
+                          v4=fourth, v4_small=small, gauss4=d * d + 2.0 * d,
+                          inputs=inputs)
 
 
 def delta_W(ms: MomentSummary, beta: float = DEFAULT_BETA,
-            ledger: ConstantsLedger = ConstantsLedger(),
-            lambda0_sq_override: Optional[float] = None) -> BoundBreakdown:
+            ledger: ConstantsLedger = ConstantsLedger()) -> BoundBreakdown:
     """Coverage-error certificate for bootstrap elliptical confidence sets.
 
     ``ms`` must be built from the W^{1/2}-transformed observations (see
@@ -627,23 +603,20 @@ def delta_W(ms: MomentSummary, beta: float = DEFAULT_BETA,
     plain bootstrap bound there is one extra n^{-1} term for the probability
     of the event on which the bound holds.
     """
-    base = bootstrap_delta(ms, beta, ledger, theorem="elliptical_coverage",
-                           lambda0_sq_override=lambda0_sq_override)
+    base = bootstrap_delta(ms, beta, ledger, theorem="elliptical_coverage")
     base.terms.append(("event_probability_n1", 1.0 / ms.n))
     return base
 
 
 def delta_R(ms: MomentSummary, beta: float = DEFAULT_BETA,
-            ledger: ConstantsLedger = ConstantsLedger(),
-            lambda0_sq_override: Optional[float] = None) -> BoundBreakdown:
+            ledger: ConstantsLedger = ConstantsLedger()) -> BoundBreakdown:
     """Level-error certificate for the bootstrap score test under H₀.
 
     ``ms`` must carry per-observation score moments with the scaled
     information matrix I(θ')/n in the covariance slots (see
     :func:`score_summary`) and σ² = the scores' sub-Gaussian factor.
     """
-    return bootstrap_delta(ms, beta, ledger, theorem="bootstrap_score_level",
-                           lambda0_sq_override=lambda0_sq_override)
+    return bootstrap_delta(ms, beta, ledger, theorem="bootstrap_score_level")
 
 
 def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
@@ -657,8 +630,13 @@ def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
     condition number of I(θ').
     """
     ms.require("x_w3_frob", "x_w4_mean", "sigma_cond")
-    return _ball_normal_breakdown(ms, beta, ledger, ms.x_w3_frob,
-                                  "score_chi2_level", {})
+    dd = ms.d * ms.d + 2.0 * ms.d
+    return _normal_breakdown(
+        ms, "score_chi2_level", beta, ms.x_w3_frob,
+        scale=2.0 * ledger.c_b4 * ms.sigma_cond, weight=0.25 / beta ** 4,
+        v4=ms.x_w4_mean, free=dd, gauss4=dd,
+        inputs={"c_b4": ledger.c_b4, "x_w4_mean": ms.x_w4_mean,
+                "sigma_cond": ms.sigma_cond})
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +722,15 @@ def optimize_beta(evaluator: Callable[[float], BoundBreakdown]):
     need not be unimodal on the whole interval).  β = 0.829 is always
     evaluated as a fallback candidate, so the returned total never exceeds
     the default-β evaluation.
-    Returns ``(beta_star, breakdown_at_beta_star)``.
+    An :class:`InfeasibleError` propagates at once: feasibility never
+    depends on β.  Returns ``(beta_star, breakdown_at_beta_star)``.
     """
 
     def f(beta: float) -> float:
         try:
             v = evaluator(beta).total
+        except InfeasibleError:
+            raise  # no β can repair a failed feasibility condition
         except (ValueError, ArithmeticError):
             return math.inf
         return v if math.isfinite(v) else math.inf
@@ -809,11 +790,6 @@ def _moments(rows: Sample):
     """(𝔼X^⊗3, 𝔼‖X‖⁴) of the rows X."""
     return (empirical_moment(rows, 3),
             float((np.sum(rows.data ** 2, axis=1) ** 2).mean()))
-
-
-def _coord_var_max(rows: Sample) -> float:
-    """Largest (biased) coordinate variance of the rows."""
-    return float(rows.data.var(axis=0).max())
 
 
 def _fourth_op(rows: Sample, wanted: bool) -> Optional[float]:
@@ -884,6 +860,17 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     return base
 
 
+def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix, sigma2: float,
+                          n: int) -> MomentSummary:
+    """The bootstrap-type summary of ``rows``: Σ's scalars, ‖𝔼X^⊗3‖_F,
+    𝔼‖X‖⁴, σ² and the largest (biased) coordinate variance."""
+    c3, c4_mean = _moments(rows)
+    return MomentSummary(
+        d=rows.dim, n=n, x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean,
+        sigma2=sigma2, coord_var_max=float(rows.data.var(axis=0).max()),
+        **_sigma_stats(spd))
+
+
 def bootstrap_summary(x: Sample, sigma2: float, sigma=None, weight=None,
                       n: Optional[int] = None) -> MomentSummary:
     """Moment summary for the bootstrap certificates.
@@ -900,11 +887,8 @@ def bootstrap_summary(x: Sample, sigma2: float, sigma=None, weight=None,
         x = Sample(x.data @ SpdMatrix.coerce(weight).sqrt())
     centered = _centered(x)
     spd = SpdMatrix.coerce(centered.covariance() if sigma is None else sigma)
-    c3, c4_mean = _moments(centered)
-    return MomentSummary(
-        d=x.dim, n=n if n is not None else x.n,
-        x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, sigma2=sigma2,
-        coord_var_max=_coord_var_max(x), **_sigma_stats(spd))
+    return _sub_gaussian_summary(centered, spd, sigma2,
+                                 n if n is not None else x.n)
 
 
 def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
@@ -920,8 +904,4 @@ def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
         raise ValueError("sigma2_s must be positive")
     spd = SpdMatrix(scores.covariance() if info is None
                     else np.asarray(info, dtype=float) / scores.n)
-    c3, c4_mean = _moments(scores)
-    return MomentSummary(
-        d=scores.dim, n=scores.n,
-        x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, sigma2=sigma2_s,
-        coord_var_max=_coord_var_max(scores), **_sigma_stats(spd))
+    return _sub_gaussian_summary(scores, spd, sigma2_s, scores.n)

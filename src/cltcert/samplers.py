@@ -302,8 +302,13 @@ class SubGaussianFactor:
     heuristic: bool = True
 
 
-def sub_gaussian_factor(sample: Sample, n_grid: int = 24,
-                        max_exponent: float = 700.0) -> SubGaussianFactor:
+# γ grid points per sign in sub_gaussian_factor, and the largest |γ|·max|x|
+# whose exponential is taken (exp overflows float64 just above 709)
+MGF_GRID_POINTS = 24
+MGF_MAX_EXPONENT = 700.0
+
+
+def sub_gaussian_factor(sample: Sample) -> SubGaussianFactor:
     if sample.n < 100:
         raise ValueError(f"need n >= 100 for the MGF heuristic, got {sample.n}")
     x = sample.data - sample.data.mean(axis=0)
@@ -317,12 +322,12 @@ def sub_gaussian_factor(sample: Sample, n_grid: int = 24,
             continue
         sd = math.sqrt(var)
         # γ grid scaled by 1/sd so the estimate is exactly 2-homogeneous
-        gammas = np.linspace(0.25, 3.0, n_grid) / sd
+        gammas = np.linspace(0.25, 3.0, MGF_GRID_POINTS) / sd
         gammas = np.concatenate([-gammas[::-1], gammas])
         best = var
         amax = float(np.abs(col).max())
         for g in gammas:
-            if abs(g) * amax > max_exponent:  # empirical MGF would overflow
+            if abs(g) * amax > MGF_MAX_EXPONENT:  # the MGF would overflow
                 truncated = True
                 continue
             mgf = float(np.exp(g * col).mean())

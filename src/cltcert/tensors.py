@@ -219,10 +219,10 @@ class Sample:
     def mean(self) -> np.ndarray:
         return self.data.mean(axis=0)
 
-    def covariance(self, ddof: int = 0) -> np.ndarray:
-        """Biased (ddof=0) empirical covariance by default."""
+    def covariance(self) -> np.ndarray:
+        """Biased (divide by n) empirical covariance."""
         centered = self.data - self.mean()
-        return centered.T @ centered / (self.n - ddof)
+        return centered.T @ centered / self.n
 
     # ---- CSV round-trip ----------------------------------------------------
     def to_csv(self, path_or_buf) -> None:
@@ -276,6 +276,20 @@ class Sample:
 # and operator_norm build at once: 32 MB of float64
 KRON_CHUNK_CELLS = 2 ** 22
 
+# most rows empirical_moment accumulates per chunk, whatever the budget allows
+MOMENT_CHUNK_ROWS = 262144
+
+# entries with |a| ≤ NONZERO_RTOL·‖A‖_max count as zero in nonzero_count
+NONZERO_RTOL = 1e-12
+
+# operator_norm's power iteration: random starts beyond the canonical ones,
+# iteration cap per start, relative fixed-point tolerance, and the seed of
+# the random starts
+POWER_RESTARTS = 8
+POWER_MAX_ITER = 200
+POWER_TOL = 1e-12
+POWER_SEED = 0
+
 
 def _kron_rows(x: np.ndarray, power: int) -> np.ndarray:
     """Row-wise Kronecker power: row i is x_i^{⊗power} flattened in C order,
@@ -297,25 +311,21 @@ def _unfolded_power_sum(block: np.ndarray, a: int, b: int) -> np.ndarray:
     return left.T @ right
 
 
-def empirical_moment(sample: Sample, order: int, center: bool = False,
-                     chunk: int = 262144) -> MomentTensor:
+def empirical_moment(sample: Sample, order: int) -> MomentTensor:
     """Average outer power n^{-1} Σ_i x_i^{⊗k} as a dense tensor.
 
-    With ``center=True`` the sample mean is removed first.  Writing
-    k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is the
-    GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks of at most
-    ``chunk`` rows whose Kronecker blocks stay within ``KRON_CHUNK_CELLS``
-    cells (order 1 is a column sum).
+    Writing k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is
+    the GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks of at
+    most ``MOMENT_CHUNK_ROWS`` rows whose Kronecker blocks stay within
+    ``KRON_CHUNK_CELLS`` cells (order 1 is a column sum).
     """
     if order < 1 or order > 6:
         raise ValueError(f"order must be in 1..6, got {order}")
     _check_dense_size(order, sample.dim)
     x = sample.data
-    if center:
-        x = x - x.mean(axis=0)
     n, d = x.shape
     a, b = order // 2, order - order // 2
-    step = max(1, min(chunk, KRON_CHUNK_CELLS // d ** b))
+    step = max(1, min(MOMENT_CHUNK_ROWS, KRON_CHUNK_CELLS // d ** b))
     acc = np.zeros((d ** a, d ** b))
     for start in range(0, n, step):
         acc += _unfolded_power_sum(x[start:start + step], a, b)
@@ -330,12 +340,10 @@ def max_norm(tensor: MomentTensor) -> float:
     return float(np.abs(tensor.data).max())
 
 
-def nonzero_count(tensor: MomentTensor, tol: Optional[float] = None) -> int:
-    """Number of entries with |a| > tol.  Default tol = 1e-12·‖A‖_max, so an
-    exactly-zero tensor reports zero entries instead of chasing noise."""
-    m = max_norm(tensor)
-    if tol is None:
-        tol = 1e-12 * m
+def nonzero_count(tensor: MomentTensor) -> int:
+    """Number of entries with |a| > NONZERO_RTOL·‖A‖_max, so an exactly-zero
+    tensor reports zero entries instead of chasing noise."""
+    tol = NONZERO_RTOL * max_norm(tensor)
     return int(np.count_nonzero(np.abs(tensor.data) > tol))
 
 
@@ -348,9 +356,9 @@ class OperatorNormResult:
     iterations: int
 
 
-def _power_starts(d: int, n_restarts: int, seed: int) -> np.ndarray:
+def _power_starts(d: int) -> np.ndarray:
     """Unit start vectors as rows: the basis e_i, the pairs (e_i ± e_j)/√2
-    for d ≤ 16, then ``n_restarts`` (at least one) random directions."""
+    for d ≤ 16, then ``POWER_RESTARTS`` (at least one) random directions."""
     rows = [np.eye(d)]
     if d <= 16:
         i, j = np.triu_indices(d, 1)
@@ -359,13 +367,14 @@ def _power_starts(d: int, n_restarts: int, seed: int) -> np.ndarray:
         pairs[r, :, i] = 1.0
         pairs[r, :, j] = (1.0, -1.0)
         rows.append(pairs.reshape(-1, d) / np.sqrt(2.0))
-    g = np.random.default_rng(seed).standard_normal((max(n_restarts, 1), d))
+    g = np.random.default_rng(POWER_SEED).standard_normal(
+        (max(POWER_RESTARTS, 1), d))
     rows.append(g / np.linalg.norm(g, axis=1, keepdims=True))
     return np.concatenate(rows)
 
 
 def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
-                 order: int, shift: float, max_iter: int, tol: float):
+                 order: int, shift: float):
     """Shifted power iteration of the rows of ``v`` on sign·A, where
     ``unfolded`` is the d×d^(k−1) unfolding of A.  Returns, per start, the
     final Rayleigh value f(v) = ⟨sign·A, v^{⊗k}⟩, its iteration count and
@@ -376,12 +385,12 @@ def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
         return signs[:, None] * (_kron_rows(rows, order - 1) @ unfolded.T)
 
     fval = np.empty(v.shape[0])
-    iters = np.full(v.shape[0], max_iter)
+    iters = np.full(v.shape[0], POWER_MAX_ITER)
     converged = np.zeros(v.shape[0], dtype=bool)
     active = np.arange(v.shape[0])
     g = contract(v, sign)
     f = np.einsum("ij,ij->i", g, v)
-    for it in range(max_iter):
+    for it in range(POWER_MAX_ITER):
         w = g + shift * v
         nw = np.linalg.norm(w, axis=1)
         vanished = nw == 0.0  # such a start stops where it is, unconverged
@@ -390,7 +399,8 @@ def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
         f_new = np.einsum("ij,ij->i", g, v_new)
         step = np.linalg.norm(v_new - v, axis=1)
         done = (~vanished & (step < 1e-8)
-                & (np.abs(f_new - f) <= tol * np.maximum(1.0, np.abs(f_new))))
+                & (np.abs(f_new - f)
+                   <= POWER_TOL * np.maximum(1.0, np.abs(f_new))))
         v, f = v_new, np.where(vanished, f, f_new)
         stop = vanished | done
         if stop.any():
@@ -406,14 +416,13 @@ def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
     return fval, iters, converged
 
 
-def operator_norm(tensor: MomentTensor, n_restarts: int = 8, max_iter: int = 200,
-                  tol: float = 1e-12, seed: int = 0) -> OperatorNormResult:
+def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
     """Estimate ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩| for a symmetric tensor.
 
     Uses shifted symmetric higher-order power iteration from canonical basis
-    vectors, normalized e_i ± e_j pairs (small d) and ``n_restarts`` random
-    unit starts, keeping the best stationary value.  Even orders run every
-    start on A and on −A.  All starts iterate together as the rows of one
+    vectors, normalized e_i ± e_j pairs (small d) and ``POWER_RESTARTS``
+    random unit starts, keeping the best stationary value.  Even orders run
+    every start on A and on −A.  All starts iterate together as the rows of one
     matrix: a step is one GEMM of their row-wise Kronecker powers with the
     d×d^(k−1) unfolding of A, in blocks of rows that keep the Kronecker
     powers within ``KRON_CHUNK_CELLS`` cells, and a start leaves its block
@@ -431,7 +440,7 @@ def operator_norm(tensor: MomentTensor, n_restarts: int = 8, max_iter: int = 200
         eig = np.linalg.eigvalsh(sym)
         return OperatorNormResult(float(np.abs(eig).max()), True, 0)
 
-    starts = _power_starts(d, n_restarts, seed)
+    starts = _power_starts(d)
     # monotonicity shift: |f''| along the sphere is bounded by k(k-1)·‖A‖_F,
     # so this shift convexifies the update for every start
     shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
@@ -441,8 +450,8 @@ def operator_norm(tensor: MomentTensor, n_restarts: int = 8, max_iter: int = 200
     unfolded = data.reshape(d, d ** (k - 1))
     step = max(1, KRON_CHUNK_CELLS // d ** (k - 1))
     fval, iters, converged = (np.concatenate(parts) for parts in zip(*(
-        _power_block(unfolded, v[i:i + step], sign[i:i + step], k, shift,
-                     max_iter, tol) for i in range(0, v.shape[0], step))))
+        _power_block(unfolded, v[i:i + step], sign[i:i + step], k, shift)
+        for i in range(0, v.shape[0], step))))
     # odd order: f(-v) = -f(v), so |f| is what we can reach anyway
     cand = np.abs(fval) if k % 2 == 1 else fval
     return OperatorNormResult(float(np.nanmax(cand, initial=0.0)),

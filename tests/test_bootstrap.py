@@ -278,11 +278,12 @@ def test_coverage_experiment_smoke():
                                        B=250, trials=200)
 
 
-def test_coverage_certificate_feasible_and_infeasible():
+def test_coverage_certificate_feasible_and_infeasible(monkeypatch):
+    monkeypatch.setattr(bootstrap, "COVERAGE_PILOT_N", 4000)
     spec = DistributionSpec(family="gaussian", d=2, seed=0)
     ok = elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=400,
                                         B=250, trials=200, seed=2,
-                                        sigma2=0.05, pilot_n=4000)
+                                        sigma2=0.05)
     assert ok.certificate is not None
     assert ok.certificate.theorem == "elliptical_coverage"
     assert ok.certificate.term("event_probability_n1") == pytest.approx(1 / 400)
@@ -290,7 +291,7 @@ def test_coverage_certificate_feasible_and_infeasible():
 
     bad = elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=400,
                                          B=250, trials=200, seed=2,
-                                         sigma2=5.0, pilot_n=4000)
+                                         sigma2=5.0)
     assert bad.certificate is None
     assert "feasibility" in bad.certificate_error
     assert bad.coverage == ok.coverage  # empirical run unaffected

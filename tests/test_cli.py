@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from cltcert import cli
+from cltcert import cli, engine
 from cltcert.bootstrap import bootstrap_ball_quantile, chi2_quantile
 from cltcert.engine import bound_ball_normal, summarize_gaussian
 from cltcert.tensors import Sample, SpdMatrix
@@ -123,14 +123,40 @@ def test_bound_needs_some_input(capsys):
 
 
 def test_bound_infeasible_certificate_exits_3(tmp_path, capsys):
+    # no β repairs the feasibility condition, so the β search reports it too
     rng = np.random.default_rng(1)
     path = tmp_path / "x.csv"
     Sample(rng.standard_normal((200, 3)), label="x").to_csv(str(path))
-    code, _, err = run_cli(
-        ["bound", "--theorem", "bootstrap-ball", "--from-sample", str(path),
-         "--sigma2", "1.0"], capsys)
-    assert code == 3
-    assert "infeasible" in err
+    for beta in ("0.829", "optimize"):
+        code, _, err = run_cli(
+            ["bound", "--theorem", "bootstrap-ball", "--from-sample",
+             str(path), "--sigma2", "1.0", "--beta", beta], capsys)
+        assert code == 3
+        assert "infeasible" in err
+
+
+def test_bound_builds_fourth_order_norms_only_for_halfspaces(
+        gaussian_csvs, monkeypatch, capsys):
+    a, b = gaussian_csvs
+    orders = []
+
+    def spy(sample, order):
+        orders.append(order)
+        return moment(sample, order)
+
+    moment = engine.empirical_moment
+    monkeypatch.setattr(engine, "empirical_moment", spy)
+    # half-space pairs: both whitened moments (same Σ), or the whitened X
+    # moment plus both raw ones (different Σ)
+    expected = {"ball-normal": 0, "ball-same-cov": 0, "ball-diff-cov": 0,
+                "score-chi2": 0, "halfspace-normal": 1,
+                "halfspace-same-cov": 2, "halfspace-diff-cov": 3}
+    for theorem, count in expected.items():
+        orders.clear()
+        code, _, _ = run_cli(["bound", "--theorem", theorem, "--from-sample",
+                              a, "--second-sample", b], capsys)
+        assert code == 0
+        assert orders.count(4) == count, theorem
 
 
 def test_bound_ledger_overrides_change_total(tmp_path, capsys):
@@ -271,6 +297,20 @@ def test_experiment_portnoy_has_slope_sentinel_row(capsys):
     last = lines[-1].split(",")
     assert last[0] == "0" and last[2] == "portnoy_slope_fit"
     assert "slope" in err
+
+
+def test_experiment_coverage_warns_when_sigma2_is_below_the_variance(capsys):
+    base = ["experiment", "--name", "coverage", "--seed", "3", "--d", "2",
+            "--n", "100", "--B", "200", "--trials", "200"]
+    code, out, err = run_cli(base + ["--sigma2", "0.05"], capsys)
+    assert code == 0
+    assert "below the largest coordinate variance" in err
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[5]) > 0  # the total is still printed
+    # σ² = 5 is above the unit variances (and infeasible at n = 100)
+    code, _, err = run_cli(base + ["--sigma2", "5"], capsys)
+    assert code == 0
+    assert "below" not in err and "infeasible" in err
 
 
 def test_experiment_score_level_smoke(capsys):

@@ -235,6 +235,33 @@ def test_ball_diff_cov_zeroth_term_example():
     assert bb.theorem == "ball_two_sample_diff_cov"
 
 
+def test_ball_two_sample_terms_by_hand():
+    beta = 0.7
+    h1, _, _ = h_funcs(beta)
+    same = MomentSummary(d=3, n=2500, sigma_cond=1.4, x_w4_mean=16.0,
+                         t_w4_mean=18.0, dw3_frob=0.6)
+    bb = bound_ball_general(same, beta=beta, same_cov=True)
+    assert bb.term("third_moment_sqrt_n") == pytest.approx(
+        0.6 / (SQRT6 * beta ** 3 * 50.0), rel=1e-12)
+    assert bb.term("expansion_n1") == pytest.approx(
+        h1 * 34.0 / (2 * SQRT6 * 2500), rel=1e-12)
+
+    # λ₀² = 0.8, V₄ = 20 + 24, V₄' = 1.2² + 1.5², d² + 2d = 15
+    diff = MomentSummary(d=3, n=2500, cov_gap_frob=0.3, lambda0_sq=0.8,
+                         x_c4_mean=20.0, t_c4_mean=24.0, sigma_op=1.2,
+                         sigma_t_op=1.5, d3_frob=0.4)
+    bb = bound_ball_general(diff, beta=beta, same_cov=False)
+    v4_small = 1.2 ** 2 + 1.5 ** 2
+    assert bb.term("third_moment_sqrt_n") == pytest.approx(
+        0.4 * 0.8 ** -1.5 / (SQRT6 * beta ** 3 * 50.0), rel=1e-12)
+    assert bb.term("smoothed_comparison_sqrt_n") == pytest.approx(
+        4 * math.sqrt(2.0) * 9.5 / 0.8
+        * math.sqrt(h1 * 44.0 + 15.0 * (v4_small + 0.5)) / 50.0, rel=1e-12)
+    assert bb.term("expansion_n1") == pytest.approx(
+        2 * (h1 * 44.0 + 15.0 * v4_small) / (SQRT6 * 0.8 ** 2 * 2500),
+        rel=1e-12)
+
+
 def test_ball_diff_cov_lambda0_validation():
     ms = MomentSummary(d=2, n=100, cov_gap_frob=0.1, lambda0_sq=0.0,
                        x_c4_mean=1.0, t_c4_mean=1.0, sigma_op=1.0,
@@ -263,6 +290,8 @@ def test_halfspace_same_cov_and_diff_cov():
     ms = MomentSummary(d=4, n=900, dw3_op=0.5, x_w4_op=3.0, t_w4_op=4.0)
     bb = bound_halfspace_general(ms, same_cov=True)
     h1, _, h3 = h_funcs(bb.beta)
+    assert bb.term("third_moment_sqrt_n") == pytest.approx(
+        0.5 / (SQRT6 * bb.beta ** 3 * 30.0), rel=1e-12)
     assert bb.term("smoothed_comparison_sqrt_n") == pytest.approx(
         9.5 * math.sqrt((h1 + bb.beta ** -4) * 7.0 + 2 * h3) / 30.0, rel=1e-12)
     assert bb.term("expansion_n1") == pytest.approx(
@@ -276,6 +305,17 @@ def test_halfspace_same_cov_and_diff_cov():
     v4 = 1.0 + 1.21 ** 2
     assert bb2.term("expansion_n1") == pytest.approx(
         2.0 * (H1_REF * 7.0 + 3 * v4) / (SQRT6 * 100), rel=1e-12)
+
+    # λ₀² = 0.6, V_T4 = 5 + 6, V₄' = 1.3² + 1.1²
+    ms3 = MomentSummary(d=2, n=400, cov_gap_op=0.15, lambda0_sq=0.6,
+                        d3_op=0.2, x_raw4_op=5.0, t_raw4_op=6.0,
+                        sigma_op=1.3, sigma_t_op=1.1)
+    bb3 = bound_halfspace_general(ms3, beta=0.829, same_cov=False)
+    v4 = 1.3 ** 2 + 1.1 ** 2
+    assert bb3.term("smoothed_comparison_sqrt_n") == pytest.approx(
+        4 * math.sqrt(2.0) * 9.5 / 0.6
+        * math.sqrt(H1_REF * 11.0 + 3 * (v4 + 0.5)) / 20.0, rel=1e-12)
+    assert bb3.inputs["c_h4"] == 9.5
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +400,35 @@ def test_bootstrap_delta_feasible_and_sigma_zero_limit():
 
 
 def test_bootstrap_delta_sigma2_linearity_of_lead_term():
-    ms1 = _boot_summary(2, 10_000, 0.05)
-    ms2 = _boot_summary(2, 10_000, 0.10)
-    b1 = bootstrap_delta(ms1, lambda0_sq_override=0.7)
-    b2 = bootstrap_delta(ms2, lambda0_sq_override=0.7)
-    assert b2.term("covariance_gap") == pytest.approx(
-        2.0 * b1.term("covariance_gap"), rel=1e-12)
+    b1 = bootstrap_delta(_boot_summary(2, 10_000, 0.05), beta=0.829)
+    b2 = bootstrap_delta(_boot_summary(2, 10_000, 0.10), beta=0.829)
+    assert b2.inputs["moment_gap"] == pytest.approx(
+        2.0 * b1.inputs["moment_gap"], rel=1e-12)
+    for bb in (b1, b2):
+        assert bb.term("covariance_gap") == pytest.approx(
+            bb.inputs["moment_gap"]
+            / (math.sqrt(2.0) * 0.829 ** 2 * bb.inputs["lambda0_sq"]),
+            rel=1e-12)
+
+
+def test_bootstrap_delta_fourth_moment_terms_by_hand():
+    d, n, sigma2 = 3, 10 ** 6, 0.8
+    ms = MomentSummary(d=d, n=n, sigma2=sigma2, sigma_min_eig=0.9,
+                       sigma_frob=1.7, sigma_op=1.2, x_c4_mean=18.0,
+                       x_c3_frob=0.5)
+    bb = bootstrap_delta(ms, beta=0.829)
+    t, c1, _ = concentration_consts(d, n)
+    gap = sigma2 * d / 1000.0 * c1
+    lam0 = 0.9 - gap
+    fourth = 18.0 + 8.0 * (1.0 + 1e-12) * (2.0 * sigma2 * d / n * t) ** 2
+    small = 3.0 * 1.2 ** 2 + 2.0 * gap ** 2
+    assert bb.term("smoothed_comparison_sqrt_n") == pytest.approx(
+        4 * math.sqrt(2.0) * 9.5 / lam0
+        * math.sqrt(H1_REF * fourth + 15.0 * (small + 0.5)) / 1000.0,
+        rel=1e-12)
+    assert bb.term("expansion_n1") == pytest.approx(
+        2 * (H1_REF * fourth + 15.0 * small) / (SQRT6 * lam0 ** 2 * n),
+        rel=1e-12)
 
 
 def test_delta_W_extra_event_term_and_delta_R_label():
@@ -510,7 +573,7 @@ def test_sigma2_below_the_coordinate_variance_is_flagged():
         assert bootstrap_delta(ms).inputs["sigma2_below_variance"] is below
         msr = score_summary(x, sigma2_s=sigma2)
         assert msr.coord_var_max == pytest.approx(var, rel=1e-12)
-        bb = delta_R(msr, lambda0_sq_override=0.5)
+        bb = delta_R(dataclasses.replace(msr, n=10 ** 8))
         assert bb.inputs["sigma2_below_variance"] is below
     # with a weight W the rows summarized are W^{1/2}x: variances near 100
     msw = bootstrap_summary(x, sigma2=5.0, weight=100.0 * np.eye(3),

@@ -96,9 +96,11 @@ def reference_operator_norm(tensor, n_restarts=8, max_iter=200, tol=1e-12,
     return best, all_converged, total_iters
 
 
-def assert_matches_reference(tensor, **kwargs):
-    res = operator_norm(tensor, **kwargs)
-    value, converged, iterations = reference_operator_norm(tensor, **kwargs)
+def assert_matches_reference(tensor):
+    res = operator_norm(tensor)
+    value, converged, iterations = reference_operator_norm(
+        tensor, tensors.POWER_RESTARTS, tensors.POWER_MAX_ITER,
+        tensors.POWER_TOL, tensors.POWER_SEED)
     assert res.iterations == iterations
     assert res.converged == converged
     assert res.value == pytest.approx(value, rel=1e-12)
@@ -130,24 +132,26 @@ def test_empirical_moment_matches_naive_loop():
 
 
 def test_empirical_moment_accumulates_many_chunks(monkeypatch):
-    # rows per chunk: 7 by ``chunk``, then 5 by a 125-cell budget (d² = 25)
+    # rows per chunk: 7 by the row cap, then 5 by a 125-cell budget (d² = 25)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 5))
     s = Sample(x)
+    monkeypatch.setattr(tensors, "MOMENT_CHUNK_ROWS", 7)
     for k in (3, 4):
-        np.testing.assert_allclose(empirical_moment(s, k, chunk=7).data,
+        np.testing.assert_allclose(empirical_moment(s, k).data,
                                    naive_moment(x, k), rtol=1e-12)
+    monkeypatch.undo()
     monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 125)
     for k in (3, 4):
         np.testing.assert_allclose(empirical_moment(s, k).data,
                                    naive_moment(x, k), rtol=1e-12)
 
 
-def test_empirical_moment_centering_and_chunking():
+def test_empirical_moment_centering_and_chunking(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((1000, 2)) + 5.0
-    s = Sample(x)
-    t = empirical_moment(s, 2, center=True, chunk=128)
+    monkeypatch.setattr(tensors, "MOMENT_CHUNK_ROWS", 128)
+    t = empirical_moment(Sample(x - x.mean(axis=0)), 2)
     np.testing.assert_allclose(t.data, np.cov(x.T, bias=True), rtol=1e-10)
 
 
@@ -155,7 +159,7 @@ def test_empirical_moment_centering_and_chunking():
 # norms
 # ---------------------------------------------------------------------------
 
-def test_frobenius_max_nonzero():
+def test_frobenius_max_nonzero(monkeypatch):
     data = np.zeros((3, 3, 3))
     data[0, 1, 2] = 3.0
     data[2, 2, 2] = -4.0
@@ -167,7 +171,8 @@ def test_frobenius_max_nonzero():
     data2 = data.copy()
     data2[1, 1, 1] = 1e-14
     assert nonzero_count(MomentTensor(3, 3, data2)) == 2
-    assert nonzero_count(MomentTensor(3, 3, data2), tol=0.0) == 3
+    monkeypatch.setattr(tensors, "NONZERO_RTOL", 0.0)
+    assert nonzero_count(MomentTensor(3, 3, data2)) == 3
 
 
 def _whitened_moment(rng, d, k):
@@ -177,15 +182,16 @@ def _whitened_moment(rng, d, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("d", [2, 5, 17])
-def test_operator_norm_matches_per_start_loop(d, k):
+def test_operator_norm_matches_per_start_loop(d, k, monkeypatch):
     # d = 17 has no e_i ± e_j starts; random symmetric tensors converge on
     # some starts and not on others
     rng = np.random.default_rng(100 * d + k)
     assert_matches_reference(_whitened_moment(rng, d, k))
     if d < 17:
         data = symmetrize(rng.standard_normal((d,) * k))
-        assert_matches_reference(MomentTensor(k, d, data), n_restarts=3,
-                                 seed=5)
+        monkeypatch.setattr(tensors, "POWER_RESTARTS", 3)
+        monkeypatch.setattr(tensors, "POWER_SEED", 5)
+        assert_matches_reference(MomentTensor(k, d, data))
 
 
 def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
@@ -194,7 +200,8 @@ def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
     rng = np.random.default_rng(7)
     assert_matches_reference(_whitened_moment(rng, 5, 4))
     monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 1)
-    assert_matches_reference(_whitened_moment(rng, 3, 3), max_iter=40)
+    monkeypatch.setattr(tensors, "POWER_MAX_ITER", 40)
+    assert_matches_reference(_whitened_moment(rng, 3, 3))
 
 
 def test_operator_norm_zero_tensor_converges_in_one_step():
@@ -469,5 +476,6 @@ def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch):
     d = 16
     data = symmetrize(np.random.default_rng(52).standard_normal((d,) * 4))
     t = MomentTensor(4, d, data)
-    peak = _peak_bytes(lambda: operator_norm(t, max_iter=3))
+    monkeypatch.setattr(tensors, "POWER_MAX_ITER", 3)
+    peak = _peak_bytes(lambda: operator_norm(t))
     assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
