@@ -12,6 +12,7 @@ A JSON config file can supply defaults via ``--config``; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -38,6 +39,7 @@ from .engine import (
     ConstantsLedger,
     InfeasibleError,
     MomentSummary,
+    Theorem,
     bootstrap_summary,
     bound_ball_normal,
     optimize_beta,
@@ -86,7 +88,7 @@ def _csv_cell(value) -> str:
 # bound command
 # ---------------------------------------------------------------------------
 
-def _bound_summary(args) -> MomentSummary:
+def _bound_summary(args, theorem: Theorem) -> MomentSummary:
     if args.moments:
         with open(args.moments, "r", encoding="utf-8") as fh:
             return MomentSummary.from_json(fh.read())
@@ -94,30 +96,26 @@ def _bound_summary(args) -> MomentSummary:
         raise ValueError("supply either --moments or --from-sample")
     x = Sample.from_csv(args.from_sample)
     sigma = _load_matrix(args.sigma) if args.sigma else None
-    theorem = args.theorem
-    kind = THEOREM_TABLE[theorem].summary
-    # only the half-space bounds read the order-4 operator norms
-    fourth_op = theorem.startswith("halfspace")
-    if kind == "sample":
-        return summarize_sample(x, sigma=sigma, n=args.n,
-                                with_fourth_op=fourth_op)
-    if kind == "pair":
+    regime = theorem.regime
+    if regime == "sample":
+        return summarize_sample(x, sigma=sigma, with_fourth_op=theorem.fourth_op)
+    if regime in ("same-cov", "diff-cov"):
         if not args.second_sample:
-            raise ValueError(f"--theorem {theorem} needs --second-sample")
+            raise ValueError(f"--theorem {args.theorem} needs --second-sample")
         t = Sample.from_csv(args.second_sample)
         sigma_t = _load_matrix(args.sigma_t) if args.sigma_t else None
         return summarize_pair(x, t, sigma=sigma, sigma_t=sigma_t,
-                              same_cov=theorem.endswith("same-cov"),
-                              n=args.n, with_fourth_op=fourth_op)
-    if kind is None:
-        raise ValueError(f"--theorem {theorem} needs --moments "
+                              same_cov=regime == "same-cov",
+                              with_fourth_op=theorem.fourth_op)
+    if regime is None:
+        raise ValueError(f"--theorem {args.theorem} needs --moments "
                          "(sample moments cannot determine the matching law)")
     if args.sigma2 is None:
-        raise ValueError(f"--theorem {theorem} needs --sigma2")
-    if kind == "bootstrap":
+        raise ValueError(f"--theorem {args.theorem} needs --sigma2")
+    if regime == "bootstrap":
         weight = _load_matrix(args.weight) if args.weight else None
         return bootstrap_summary(x, sigma2=args.sigma2, sigma=sigma,
-                                 weight=weight, n=args.n)
+                                 weight=weight)
     info = _load_matrix(args.info) if args.info else None
     return score_summary(x, sigma2_s=args.sigma2, info=info)
 
@@ -126,8 +124,10 @@ def _cmd_bound(args) -> int:
     ledger = ConstantsLedger()
     if args.ledger_overrides:
         ledger = ledger.with_overrides(**json.loads(args.ledger_overrides))
-    ms = _bound_summary(args)
     theorem = THEOREM_TABLE[args.theorem]
+    ms = _bound_summary(args, theorem)
+    if args.n is not None:
+        ms = dataclasses.replace(ms, n=args.n)
     if not theorem.uses_beta:
         breakdown = theorem.evaluate(ms, None, ledger)
     elif args.beta == "optimize":
@@ -385,7 +385,7 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
     p.add_argument("--sigma2", type=float,
                    help="sub-Gaussian variance factor (user-supplied)")
     p.add_argument("--n", type=int, help="evaluate at this n instead of the "
-                                         "sample size")
+                                         "sample size or the summary's n")
     p.add_argument("--ledger-overrides",
                    help='JSON dict, e.g. \'{"c_phi4": 1.2}\'')
     p.add_argument("--out")

@@ -5,8 +5,12 @@ Every public ``bound_*``/``delta_*`` operation evaluates one closed-form
 inequality term by term and returns a :class:`BoundBreakdown` whose ``total``
 is the certified upper bound on the corresponding uniform distance.  Inputs
 come in through :class:`MomentSummary`, a flat bag of moment scalars that can
-be filled analytically (:func:`summarize_gaussian`) or from data
-(:func:`summarize_sample`, :func:`summarize_pair`, :func:`bootstrap_summary`).
+be filled analytically (:func:`summarize_gaussian`) or from data.  Each data
+builder fills only what its theorems read, and :data:`THEOREM_TABLE` names
+each theorem's regime, i.e. its builder: "sample" (whitened moments),
+"same-cov" and "diff-cov" (:func:`summarize_pair`: whitened differences, or
+central moments with the covariance gaps and λ₀²), "bootstrap" and "score"
+(σ², central moments and Σ's scalars).
 
 The free smoothing parameter β ∈ (0,1) can be tuned per instance with
 :func:`optimize_beta`; β = 0.829 (near the minimum of h₁) is a good default.
@@ -543,12 +547,11 @@ def bound_ball_symmetric(ms: MomentSummary,
 # ---------------------------------------------------------------------------
 
 
-def concentration_consts(d: int, n: int, t: Optional[float] = None):
-    """(t, C₁(t), C₂(t)); t defaults to log n + log(2dn + d² + 3d)."""
+def concentration_consts(d: int, n: int):
+    """(t*, C₁(t*), C₂(t*)) at t* = log n + log(2dn + d² + 3d)."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    if t is None:
-        t = math.log(n) + math.log(2.0 * d * n + d * d + 3.0 * d)
+    t = math.log(n) + math.log(2.0 * d * n + d * d + 3.0 * d)
     c1 = 2.0 * (4.0 * math.sqrt(2.0 * t) + 3.0 * t / math.sqrt(n))
     c2 = 4.0 * SQRT2 * (SQRT8 * t + t ** 1.5 / math.sqrt(n))
     return t, c1, c2
@@ -647,12 +650,16 @@ def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
 @dataclass(frozen=True)
 class Theorem:
     """A named certificate.  ``evaluate(ms, beta, ledger)`` looks its bound
-    function up when called; ``summary`` names the builder that makes ``ms``
-    from data ("sample", "pair", "bootstrap" or "score"; None when only a
-    supplied summary can); ``uses_beta`` says whether β applies."""
+    function up when called.  ``regime`` says which summary of data it reads:
+    "sample" (:func:`summarize_sample`), "same-cov" or "diff-cov"
+    (:func:`summarize_pair` with ``same_cov`` true or false), "bootstrap"
+    (:func:`bootstrap_summary`) or "score" (:func:`score_summary`); None when
+    only a supplied summary can serve.  ``fourth_op`` says whether it reads
+    order-4 operator norms, and ``uses_beta`` whether β applies."""
 
     evaluate: Callable[..., BoundBreakdown]
-    summary: Optional[str]
+    regime: Optional[str]
+    fourth_op: bool = False
     uses_beta: bool = True
 
 
@@ -660,15 +667,18 @@ class Theorem:
 THEOREM_TABLE = {
     "ball-normal": Theorem(lambda m, b, c: bound_ball_normal(m, b, c), "sample"),
     "ball-same-cov": Theorem(
-        lambda m, b, c: bound_ball_general(m, b, c, same_cov=True), "pair"),
+        lambda m, b, c: bound_ball_general(m, b, c, same_cov=True), "same-cov"),
     "ball-diff-cov": Theorem(
-        lambda m, b, c: bound_ball_general(m, b, c, same_cov=False), "pair"),
+        lambda m, b, c: bound_ball_general(m, b, c, same_cov=False), "diff-cov"),
     "halfspace-normal": Theorem(
-        lambda m, b, c: bound_halfspace_normal(m, b, c), "sample"),
+        lambda m, b, c: bound_halfspace_normal(m, b, c), "sample",
+        fourth_op=True),
     "halfspace-same-cov": Theorem(
-        lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=True), "pair"),
+        lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=True),
+        "same-cov", fourth_op=True),
     "halfspace-diff-cov": Theorem(
-        lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=False), "pair"),
+        lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=False),
+        "diff-cov", fourth_op=True),
     "symmetric": Theorem(
         lambda m, b, c: bound_ball_symmetric(m, c, variant="sixth_moment"),
         None, uses_beta=False),
@@ -786,42 +796,32 @@ def _centered(x: Sample) -> Sample:
     return Sample(x.data - x.data.mean(axis=0))
 
 
-def _moments(rows: Sample):
-    """(𝔼X^⊗3, 𝔼‖X‖⁴) of the rows X."""
-    return (empirical_moment(rows, 3),
-            float((np.sum(rows.data ** 2, axis=1) ** 2).mean()))
+def _fourth_mean(rows: Sample) -> float:
+    """𝔼‖X‖⁴ of the rows X."""
+    return float((np.sum(rows.data ** 2, axis=1) ** 2).mean())
 
 
 def _fourth_op(rows: Sample, wanted: bool) -> Optional[float]:
     return operator_norm(empirical_moment(rows, 4)).value if wanted else None
 
 
-def _one_sample(cx: Sample, sigma, n: int, with_fourth_op: bool):
-    """Summary of the centered rows ``cx`` (Σ defaults to their biased
-    covariance), returned with Σ, 𝔼W^⊗3 of W = Σ^{-1/2}X and 𝔼X^⊗3."""
-    spd = SpdMatrix.coerce(cx.covariance() if sigma is None else sigma)
-    c3, c4_mean = _moments(cx)
-    w = whiten(cx, spd)
-    w3, w4_mean = _moments(w)
-    w3f, w3o, w3m, w3n = _tensor_norm_pack(w3)
-    ms = MomentSummary(
-        d=cx.dim, n=n,
-        x_w3_frob=w3f, x_w3_op=w3o, x_w3_max=w3m, x_w3_nonzero=w3n,
-        x_w4_mean=w4_mean, x_w4_op=_fourth_op(w, with_fourth_op),
-        x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean, **_sigma_stats(spd))
-    return ms, spd, w3, c3
-
-
 def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
                      with_fourth_op: bool = True) -> MomentSummary:
-    """Empirical one-sample moment summary.
+    """Empirical one-sample summary: Σ's scalars and the whitened moments
+    that the one-sample theorems read.
 
     ``sigma`` supplies a known covariance; otherwise the biased sample
     covariance is used.  ``n`` overrides the sum length the bound is for
     (defaults to the sample size).
     """
-    return _one_sample(_centered(x), x.covariance() if sigma is None else sigma,
-                       n if n is not None else x.n, with_fourth_op)[0]
+    spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
+    w = whiten(_centered(x), spd)
+    f, o, m, nz = _tensor_norm_pack(empirical_moment(w, 3))
+    return MomentSummary(
+        d=x.dim, n=n if n is not None else x.n,
+        x_w3_frob=f, x_w3_op=o, x_w3_max=m, x_w3_nonzero=nz,
+        x_w4_mean=_fourth_mean(w), x_w4_op=_fourth_op(w, with_fourth_op),
+        **_sigma_stats(spd))
 
 
 def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
@@ -830,43 +830,47 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     """Two-sample summary for the comparison bounds.
 
     In the same-covariance regime both samples are whitened by the X-side
-    covariance (they share Σ by assumption).  In the general regime raw
-    third/fourth moments and both covariances are summarized.
+    covariance (they share Σ by assumption).  Otherwise their unwhitened
+    central moments, both covariances and the gaps between them are used.
     """
     if x.dim != t.dim:
         raise ValueError("samples have different dimensions")
     cx, ct = _centered(x), _centered(t)
-    base, spd_x, w3, c3 = _one_sample(cx, sigma, n if n is not None else x.n,
-                                      with_fourth_op)
+    spd_x = SpdMatrix.coerce(cx.covariance() if sigma is None else sigma)
+    d, n = x.dim, n if n is not None else x.n
     if same_cov:
-        wt = whiten(ct, spd_x)
-        w3_t, base.t_w4_mean = _moments(wt)
-        base.t_w4_op = _fourth_op(wt, with_fourth_op)
-        f, o, m, nz = _tensor_norm_pack(w3 - w3_t)
-        base.dw3_frob, base.dw3_op, base.dw3_max, base.dw3_nonzero = f, o, m, nz
-        return base
+        wx, wt = whiten(cx, spd_x), whiten(ct, spd_x)
+        f, o, m, nz = _tensor_norm_pack(
+            empirical_moment(wx, 3) - empirical_moment(wt, 3))
+        return MomentSummary(
+            d=d, n=n, dw3_frob=f, dw3_op=o, dw3_max=m, dw3_nonzero=nz,
+            x_w4_mean=_fourth_mean(wx), t_w4_mean=_fourth_mean(wt),
+            x_w4_op=_fourth_op(wx, with_fourth_op),
+            t_w4_op=_fourth_op(wt, with_fourth_op), **_sigma_stats(spd_x))
     spd_t = SpdMatrix.coerce(ct.covariance() if sigma_t is None else sigma_t)
-    c3_t, base.t_c4_mean = _moments(ct)
     gap = spd_x.matrix - spd_t.matrix
-    base.sigma_t_op = spd_t.operator_norm
-    base.sigma_t_min_eig = spd_t.min_eigenvalue
-    base.cov_gap_frob = float(np.linalg.norm(gap))
-    base.cov_gap_op = float(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.T))).max())
-    f, o, m, nz = _tensor_norm_pack(c3 - c3_t)
-    base.d3_frob, base.d3_op, base.d3_max, base.d3_nonzero = f, o, m, nz
-    base.x_raw4_op = _fourth_op(cx, with_fourth_op)
-    base.t_raw4_op = _fourth_op(ct, with_fourth_op)
-    base.lambda0_sq = min(spd_x.min_eigenvalue, spd_t.min_eigenvalue)
-    return base
+    f, o, m, nz = _tensor_norm_pack(
+        empirical_moment(cx, 3) - empirical_moment(ct, 3))
+    return MomentSummary(
+        d=d, n=n, sigma_t_op=spd_t.operator_norm,
+        sigma_t_min_eig=spd_t.min_eigenvalue,
+        cov_gap_frob=float(np.linalg.norm(gap)),
+        cov_gap_op=float(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.T))).max()),
+        d3_frob=f, d3_op=o, d3_max=m, d3_nonzero=nz,
+        x_c4_mean=_fourth_mean(cx), t_c4_mean=_fourth_mean(ct),
+        x_raw4_op=_fourth_op(cx, with_fourth_op),
+        t_raw4_op=_fourth_op(ct, with_fourth_op),
+        lambda0_sq=min(spd_x.min_eigenvalue, spd_t.min_eigenvalue),
+        **_sigma_stats(spd_x))
 
 
 def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix, sigma2: float,
                           n: int) -> MomentSummary:
     """The bootstrap-type summary of ``rows``: Σ's scalars, ‖𝔼X^⊗3‖_F,
     𝔼‖X‖⁴, σ² and the largest (biased) coordinate variance."""
-    c3, c4_mean = _moments(rows)
     return MomentSummary(
-        d=rows.dim, n=n, x_c3_frob=frobenius_norm(c3), x_c4_mean=c4_mean,
+        d=rows.dim, n=n, x_c3_frob=frobenius_norm(empirical_moment(rows, 3)),
+        x_c4_mean=_fourth_mean(rows),
         sigma2=sigma2, coord_var_max=float(rows.data.var(axis=0).max()),
         **_sigma_stats(spd))
 

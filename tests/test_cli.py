@@ -138,25 +138,51 @@ def test_bound_infeasible_certificate_exits_3(tmp_path, capsys):
 def test_bound_builds_fourth_order_norms_only_for_halfspaces(
         gaussian_csvs, monkeypatch, capsys):
     a, b = gaussian_csvs
-    orders = []
+    orders, norms = [], []
 
-    def spy(sample, order):
+    def moment_spy(sample, order):
         orders.append(order)
         return moment(sample, order)
 
-    moment = engine.empirical_moment
-    monkeypatch.setattr(engine, "empirical_moment", spy)
-    # half-space pairs: both whitened moments (same Σ), or the whitened X
-    # moment plus both raw ones (different Σ)
-    expected = {"ball-normal": 0, "ball-same-cov": 0, "ball-diff-cov": 0,
-                "score-chi2": 0, "halfspace-normal": 1,
-                "halfspace-same-cov": 2, "halfspace-diff-cov": 3}
-    for theorem, count in expected.items():
+    def norm_spy(tensor):
+        norms.append(tensor.order)
+        return norm(tensor)
+
+    moment, norm = engine.empirical_moment, engine.operator_norm
+    monkeypatch.setattr(engine, "empirical_moment", moment_spy)
+    monkeypatch.setattr(engine, "operator_norm", norm_spy)
+    # (order-3 moments, order-4 moments, operator norms) per theorem: a
+    # third-moment norm pack, plus the order-4 norms of the half-spaces
+    expected = {"ball-normal": (1, 0, 1), "score-chi2": (1, 0, 1),
+                "halfspace-normal": (1, 1, 2), "ball-same-cov": (2, 0, 1),
+                "halfspace-same-cov": (2, 2, 3), "ball-diff-cov": (2, 0, 1),
+                "halfspace-diff-cov": (2, 2, 3)}
+    for theorem, counts in expected.items():
         orders.clear()
+        norms.clear()
         code, _, _ = run_cli(["bound", "--theorem", theorem, "--from-sample",
                               a, "--second-sample", b], capsys)
         assert code == 0
-        assert orders.count(4) == count, theorem
+        assert (orders.count(3), orders.count(4), len(norms)) == counts, \
+            theorem
+
+
+def test_bound_n_overrides_every_summary(tmp_path, gaussian_csvs, capsys):
+    # --n reaches the score route: at the sample's n = 400 this certificate
+    # is infeasible
+    a, _ = gaussian_csvs
+    code, out, _ = run_cli(["bound", "--theorem", "score-bootstrap",
+                            "--from-sample", a, "--sigma2", "3",
+                            "--n", "100000000"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["n"] == 10 ** 8
+    # a supplied summary's n is overridden too
+    path = tmp_path / "m.json"
+    path.write_text(summarize_gaussian(np.eye(3), 1000).to_json())
+    code, out, _ = run_cli(["bound", "--theorem", "ball-normal", "--moments",
+                            str(path), "--n", "50000"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["n"] == 50000
 
 
 def test_bound_ledger_overrides_change_total(tmp_path, capsys):

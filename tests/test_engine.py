@@ -359,10 +359,13 @@ def test_concentration_consts():
     t, c1, c2 = concentration_consts(10, 100)
     assert t == pytest.approx(math.log(100) + math.log(2130), rel=1e-12)
     assert t == pytest.approx(12.269, abs=5e-4)
-    t0, c1_0, c2_0 = concentration_consts(10, 100, t=0.0)
-    assert c1_0 == 0.0 and c2_0 == 0.0
-    grid = np.linspace(0.1, 30, 50)
-    c1s = [concentration_consts(5, 200, t=float(u))[1] for u in grid]
+    assert c1 == pytest.approx(2.0 * (4.0 * math.sqrt(2.0 * t) + 0.3 * t),
+                               rel=1e-12)
+    assert c2 == pytest.approx(
+        4.0 * math.sqrt(2.0) * (math.sqrt(8.0) * t + t ** 1.5 / 10.0),
+        rel=1e-12)
+    # t* grows with d at fixed n, and C₁ grows with t*
+    c1s = [concentration_consts(d, 200)[1] for d in range(1, 30)]
     assert all(a < b for a, b in zip(c1s, c1s[1:]))
 
 
@@ -518,8 +521,9 @@ def test_summarize_sample_approaches_analytic_gaussian():
     assert ms.x_w4_mean == pytest.approx(15.0, rel=0.02)
     assert ms.x_w4_op == pytest.approx(3.0, rel=0.05)
     assert ms.x_w3_frob < 0.05
-    assert ms.x_c3_frob < 0.05
     assert ms.n == x.n and ms.d == 3
+    # no one-sample theorem reads the unwhitened central moments
+    assert ms.x_c3_frob is None and ms.x_c4_mean is None
 
 
 def test_summarize_pair_same_and_diff_cov():
@@ -528,6 +532,7 @@ def test_summarize_pair_same_and_diff_cov():
     ms = summarize_pair(a, b, sigma=np.eye(2), same_cov=True)
     assert ms.dw3_frob < 0.05
     assert ms.t_w4_mean == pytest.approx(8.0, rel=0.05)
+    assert ms.x_w3_frob is None and ms.d3_frob is None
 
     c = sample_gaussian(np.diag([1.0, 1.21]), 60_000, seed=10)
     ms2 = summarize_pair(a, c, sigma=np.eye(2), sigma_t=np.diag([1.0, 1.21]),
@@ -540,9 +545,12 @@ def test_summarize_pair_same_and_diff_cov():
                                           rel=0.05)
     bb = bound_ball_general(ms2, same_cov=False)
     assert bb.term("covariance_gap") == pytest.approx(0.2162, rel=2e-3)
+    assert ms2.x_w3_frob is None and ms2.x_w4_mean is None
 
 
 def test_bootstrap_and_score_summaries():
+    z = sample_gaussian(np.eye(3), 150_000, seed=7)
+    assert bootstrap_summary(z, sigma2=1.0).x_c3_frob < 0.05
     x = sample_gaussian(np.eye(2), 5000, seed=11, mean=[1.0, -2.0])
     ms = bootstrap_summary(x, sigma2=1.0)
     assert ms.sigma2 == 1.0

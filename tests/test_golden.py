@@ -1,18 +1,33 @@
-"""Golden output of ``cltcert bound --moments`` for every theorem.
+"""Golden output of ``cltcert bound`` for every theorem.
 
-One hand-written summary sets every field with a nonzero value (n = 10⁸ keeps
-the bootstrap certificates feasible); each theorem is evaluated at β = 0.829
-and with ``--beta optimize``.  The path is scalar float arithmetic with no
-BLAS, so stdout must match ``golden/bound_moments.txt`` byte for byte.
+``--moments``: one hand-written summary sets every field with a nonzero value
+(n = 10⁸ keeps the bootstrap certificates feasible); each theorem is
+evaluated at β = 0.829 and with ``--beta optimize``.  The path is scalar
+float arithmetic with no BLAS, so stdout must match
+``golden/bound_moments.txt`` byte for byte.
+
+``--from-sample``: every theorem a sample can summarize, at the same two β
+settings, on a skewed X and a Gaussian T of different covariance written
+from a seeded generator.  The moment tensors go through BLAS, whose
+summation order may vary between builds, so ``golden/bound_from_sample.txt``
+is compared key for key and string for string, and number for number at a
+relative tolerance of 1e-12.
 """
 
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 from cltcert import cli
 from cltcert.engine import THEOREM_TABLE
+from cltcert.tensors import Sample
 
 GOLDEN = Path(__file__).parent / "golden" / "bound_moments.txt"
+GOLDEN_FROM_SAMPLE = Path(__file__).parent / "golden" / "bound_from_sample.txt"
 
 SUMMARY = {
     "d": 3, "n": 10 ** 8,
@@ -31,6 +46,13 @@ SUMMARY = {
     "sigma2": 1.5, "coord_var_max": 1.3,
 }
 
+# every theorem but the two symmetric ones, whose matching law a sample
+# cannot determine
+SAMPLE_THEOREMS = ("ball-normal", "ball-same-cov", "ball-diff-cov",
+                   "halfspace-normal", "halfspace-same-cov",
+                   "halfspace-diff-cov", "bootstrap-ball", "elliptical",
+                   "score-bootstrap", "score-chi2")
+
 
 def bound_outputs(tmp_path, capsys) -> str:
     path = tmp_path / "summary.json"
@@ -47,3 +69,47 @@ def bound_outputs(tmp_path, capsys) -> str:
 
 def test_bound_from_moments_matches_golden_output(tmp_path, capsys):
     assert bound_outputs(tmp_path, capsys) == GOLDEN.read_text()
+
+
+def from_sample_outputs(tmp_path) -> list:
+    """Stdout of ``bound --from-sample`` for each sample theorem and β."""
+    rng = np.random.default_rng(20)
+    x, t = tmp_path / "x.csv", tmp_path / "t.csv"
+    Sample(rng.exponential(size=(3000, 3)) - 1.0).to_csv(str(x))
+    Sample(rng.standard_normal((2500, 3)) * [1.0, 1.2, 0.9]).to_csv(str(t))
+    out = []
+    for theorem in SAMPLE_THEOREMS:
+        for beta in ("0.829", "optimize"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["bound", "--theorem", theorem,
+                                 "--from-sample", str(x), "--second-sample",
+                                 str(t), "--sigma2", "0.1", "--beta", beta])
+            assert code == 0, (theorem, beta)
+            out.append(buf.getvalue())
+    return out
+
+
+def assert_same_json(got, want, where=""):
+    """Keys, strings and booleans equal; numbers equal to rel 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{where}[{i}]")
+    elif isinstance(want, (bool, str)) or want is None:
+        assert got == want and type(got) is type(want), where
+    else:
+        assert type(got) in (int, float), where
+        assert math.isclose(got, want, rel_tol=1e-12), (where, got, want)
+
+
+def test_bound_from_sample_matches_golden_output(tmp_path):
+    want = GOLDEN_FROM_SAMPLE.read_text().splitlines()
+    got = from_sample_outputs(tmp_path)
+    assert len(got) == len(want) == 2 * len(SAMPLE_THEOREMS)
+    for line, (g, w) in zip(range(1, len(want) + 1), zip(got, want)):
+        assert_same_json(json.loads(g), json.loads(w), f"line {line}")
