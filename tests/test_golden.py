@@ -111,5 +111,5 @@ def test_bound_from_sample_matches_golden_output(tmp_path):
     want = GOLDEN_FROM_SAMPLE.read_text().splitlines()
     got = from_sample_outputs(tmp_path)
     assert len(got) == len(want) == 2 * len(SAMPLE_THEOREMS)
-    for line, (g, w) in zip(range(1, len(want) + 1), zip(got, want)):
+    for line, (g, w) in enumerate(zip(got, want), 1):
         assert_same_json(json.loads(g), json.loads(w), f"line {line}")
