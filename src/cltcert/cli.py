@@ -88,7 +88,30 @@ def _csv_cell(value) -> str:
 # bound command
 # ---------------------------------------------------------------------------
 
+def _warn_unread_flags(args, theorem: Theorem) -> None:
+    """Name on stderr each supplied sample flag that the route of
+    ``bound`` does not read (stdout and the exit code do not change)."""
+    reads = {
+        "moments": (),
+        "sample": ("from_sample", "sigma"),
+        "same-cov": ("from_sample", "second_sample", "sigma"),
+        "diff-cov": ("from_sample", "second_sample", "sigma", "sigma_t"),
+        "bootstrap": ("from_sample", "sigma2", "sigma", "weight"),
+        "score": ("from_sample", "sigma2", "info"),
+    }.get("moments" if args.moments else theorem.regime)
+    if reads is None:  # no sample route; _bound_summary rejects the call
+        return
+    route = "--moments" if args.moments else "--from-sample"
+    for dest in ("from_sample", "second_sample", "sigma", "sigma_t",
+                 "weight", "info", "sigma2"):
+        if getattr(args, dest) is not None and dest not in reads:
+            flag = "--" + dest.replace("_", "-")
+            _note(f"warning: {flag} is ignored: --theorem {args.theorem} "
+                  f"with {route} does not read it")
+
+
 def _bound_summary(args, theorem: Theorem) -> MomentSummary:
+    _warn_unread_flags(args, theorem)
     if args.moments:
         with open(args.moments, "r", encoding="utf-8") as fh:
             return MomentSummary.from_json(fh.read())

@@ -78,19 +78,43 @@ class DistanceEstimate:
 # exact 1-D statistics
 # ---------------------------------------------------------------------------
 
+def _pooled_ranks(a: np.ndarray, b: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One argsort of a ∪ b, and how many entries of a and of b lie at or
+    below each distinct pooled value.
+
+    The counts are read at the last entry of each run of equal sorted
+    values, so they are exactly what ``searchsorted(..., side="right")``
+    returns there.  Returns ``(order, rank_a, rank_b)``; ``order[i] < a.size``
+    marks the entries of a.
+    """
+    v = np.concatenate([a, b])
+    order = np.argsort(v)
+    vs = v[order]
+    if np.isnan(vs[-1]):  # argsort puts NaN last
+        raise ValueError("samples must not contain NaN")
+    rank_a = np.cumsum(order < a.size)
+    rank_b = np.arange(1, v.size + 1) - rank_a
+    tie = vs[1:] == vs[:-1]
+    if tie.any():
+        last = np.append(~tie, True)
+        rank_a, rank_b = rank_a[last], rank_b[last]
+    return order, rank_a, rank_b
+
+
 def ks_two_sample_1d(a, b) -> float:
     """Exact two-sample Kolmogorov–Smirnov statistic.
 
-    Supremum over all thresholds of |F̂_a − F̂_b|, attained at data points.
+    Supremum over all thresholds of |F̂_a − F̂_b|, attained at data points:
+    both ECDFs are read at every distinct pooled value.  NaN is rejected;
+    ±inf is ordered like any other value.
     """
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(fa - fb).max())
+    _, rank_a, rank_b = _pooled_ranks(a, b)
+    return float(np.abs(rank_a / a.size - rank_b / b.size).max())
 
 
 def _levy_feasible(eps: float, a: np.ndarray, b: np.ndarray) -> bool:
@@ -113,11 +137,14 @@ def levy_distance_1d(a, b) -> float:
 
     ε = 1 is always feasible (vertical slack alone), so the radius lives in
     [0, 1]; bisection against the exact breakpoint feasibility check.
+    NaN is rejected.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # sort puts NaN last
+        raise ValueError("samples must not contain NaN")
     if _levy_feasible(0.0, a, b):
         return 0.0
     lo, hi = 0.0, 1.0
@@ -141,13 +168,33 @@ def _pooled_scale(sa: Sample, sb: Sample) -> float:
 
 def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
                       rng: np.random.Generator) -> float:
+    """Standard deviation of the KS statistic over ``n_boot`` resamples
+    (with replacement) of ``ra`` and of ``rb``.
+
+    Every resampled value is a pooled value, so the resample's ECDFs can be
+    read on the one pooled order of ``ra`` ∪ ``rb``: a replicate's count at
+    a distinct pooled value is the cumulative sum, in pooled order, of how
+    often each original entry was drawn.  At a value that was not drawn both
+    ECDFs equal their values at the nearest drawn value below it (or are
+    both 0), so the supremum over all pooled values is the resample's KS
+    statistic, with the same integer counts and the same divisions.
+    """
     if n_boot < 2:
         return 0.0
+    na, nb = ra.size, rb.size
+    order, rank_a, rank_b = _pooled_ranks(ra, rb)
+    from_a = order < na
+    a_order, b_order = order[from_a], order[~from_a] - na
+    # cum_x[r]: draws among the r smallest entries of x
+    cum_a = np.zeros(na + 1, dtype=np.int64)
+    cum_b = np.zeros(nb + 1, dtype=np.int64)
     vals = np.empty(n_boot)
     for k in range(n_boot):
-        ia = rng.integers(0, ra.size, ra.size)
-        ib = rng.integers(0, rb.size, rb.size)
-        vals[k] = ks_two_sample_1d(ra[ia], rb[ib])
+        ia = rng.integers(0, na, na)
+        ib = rng.integers(0, nb, nb)
+        np.cumsum(np.bincount(ia, minlength=na)[a_order], out=cum_a[1:])
+        np.cumsum(np.bincount(ib, minlength=nb)[b_order], out=cum_b[1:])
+        vals[k] = np.abs(cum_a[rank_a] / na - cum_b[rank_b] / nb).max()
     return float(vals.std(ddof=1))
 
 

@@ -185,6 +185,49 @@ def test_bound_n_overrides_every_summary(tmp_path, gaussian_csvs, capsys):
     assert json.loads(out)["inputs"]["n"] == 50000
 
 
+def test_bound_warns_about_flags_its_route_does_not_read(
+        tmp_path, gaussian_csvs, capsys):
+    a, b = gaussian_csvs
+    big = str(tmp_path / "big.csv")
+    np.savetxt(big, 100.0 * np.eye(2), delimiter=",")
+    moments = tmp_path / "m.json"
+    moments.write_text(summarize_gaussian(np.eye(2), 1000).to_json())
+    n = ["--n", "100000000"]
+    # the score route reads --info, not --sigma: same stdout, one warning
+    base = ["bound", "--theorem", "score-bootstrap", "--from-sample", a,
+            "--sigma2", "3"] + n
+    code, out, err = run_cli(base, capsys)
+    assert code == 0 and "warning" not in err
+    code2, out2, err2 = run_cli(base + ["--sigma", big], capsys)
+    assert (code2, out2) == (code, out)
+    assert [line for line in err2.splitlines() if "warning" in line] == [
+        "warning: --sigma is ignored: --theorem score-bootstrap with "
+        "--from-sample does not read it"]
+    cases = [
+        ("ball-same-cov", ["--from-sample", a, "--second-sample", b,
+                           "--sigma-t", big], ["--sigma-t"]),
+        ("ball-diff-cov", ["--from-sample", a, "--second-sample", b,
+                           "--sigma-t", big, "--sigma", big], []),
+        ("ball-normal", ["--from-sample", a, "--second-sample", b,
+                         "--weight", big, "--info", big, "--sigma2", "1"],
+         ["--second-sample", "--weight", "--info", "--sigma2"]),
+        ("elliptical", ["--from-sample", a, "--sigma2", "50", "--weight", big,
+                        "--sigma", big, "--info", big], ["--info"]),
+        ("ball-normal", ["--moments", str(moments), "--from-sample", a,
+                         "--sigma", big, "--sigma2", "1"],
+         ["--from-sample", "--sigma", "--sigma2"]),
+    ]
+    for theorem, flags, ignored in cases:
+        code, _, err = run_cli(["bound", "--theorem", theorem] + flags + n,
+                               capsys)
+        assert code == 0, theorem
+        warned = [line.split()[1] for line in err.splitlines()
+                  if line.startswith("warning:")]
+        assert warned == ignored, theorem
+        assert all(theorem in line for line in err.splitlines()
+                   if line.startswith("warning:"))
+
+
 def test_bound_ledger_overrides_change_total(tmp_path, capsys):
     ms = summarize_gaussian(SpdMatrix(np.eye(2)), n=1000)
     path = tmp_path / "m.json"

@@ -9,6 +9,7 @@ from scipy import stats
 
 from cltcert.distances import (
     DistanceEstimate,
+    _bootstrap_stderr,
     anti_concentration_probe,
     delta_B_hat,
     delta_H_hat,
@@ -58,6 +59,80 @@ def test_ks_uniform_null_is_small():
     rng = np.random.default_rng(11)
     a, b = rng.random(100_000), rng.random(100_000)
     assert ks_two_sample_1d(a, b) < 0.01
+
+
+def test_nan_is_rejected_and_inf_is_ordered():
+    for a, b in (([0.0, np.nan], [0.5, 1.0]), ([0.0], [np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_two_sample_1d(a, b)
+    for a, b in (([np.nan, 1.0], [0.0, 2.0]), ([1.0], [0.0, np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            levy_distance_1d(a, b)
+    assert ks_two_sample_1d([-np.inf, 0.0], [np.inf, 0.0]) == 0.5
+    assert levy_distance_1d([-np.inf, np.inf], [np.inf, -np.inf]) == 0.0
+
+
+# The KS statistic as two sorts and four binary searches, and the bootstrap
+# stderr as resample-then-KS: the pooled-order kernels must reproduce both
+# bit for bit, and draw the same random numbers in the same order.
+
+def _ks_reference(a, b):
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+def _bootstrap_reference(ra, rb, n_boot, rng):
+    if n_boot < 2:
+        return 0.0
+    vals = np.empty(n_boot)
+    for k in range(n_boot):
+        ia = rng.integers(0, ra.size, ra.size)
+        ib = rng.integers(0, rb.size, rb.size)
+        vals[k] = _ks_reference(ra[ia], rb[ib])
+    return float(vals.std(ddof=1))
+
+
+def _edge_pairs():
+    rng = np.random.default_rng(17)
+    inf = np.inf
+    return [
+        # ties within and across samples
+        (rng.integers(0, 6, 40).astype(float),
+         rng.integers(2, 9, 33).astype(float)),
+        (rng.integers(0, 3, 200).astype(float), np.array([1.0])),
+        # unequal and size-1 samples
+        (rng.standard_normal(1), rng.standard_normal(57)),
+        (np.array([2.0]), np.array([2.0])),
+        (rng.standard_normal(25), rng.standard_normal(300) + 0.2),
+        (rng.standard_normal(500), rng.standard_normal(400) + 0.1),
+        # signed zeros compare equal
+        (np.array([-0.0, 0.0, 1.0, -0.0]), np.array([0.0, -0.0, -1.0])),
+        # infinities are ordered values
+        (np.array([-inf, 0.0, inf, inf]), np.array([inf, -inf, 1.0])),
+        (np.full(7, inf), np.full(4, -inf)),
+    ]
+
+
+def test_ks_equals_two_sort_reference_bit_for_bit():
+    for a, b in _edge_pairs():
+        assert ks_two_sample_1d(a, b) == _ks_reference(a, b)
+        assert ks_two_sample_1d(b, a) == _ks_reference(b, a)
+
+
+@pytest.mark.parametrize("n_boot", [0, 1, 2, 37])
+def test_bootstrap_stderr_equals_resample_reference(n_boot):
+    nonzero = 0
+    for i, (a, b) in enumerate(_edge_pairs()):
+        rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+        got = _bootstrap_stderr(a, b, n_boot, rng)
+        assert got == _bootstrap_reference(a, b, n_boot, ref_rng), i
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, i
+        nonzero += got > 0.0
+    assert (nonzero > 0) == (n_boot >= 2)
 
 
 # ---------------------------------------------------------------------------

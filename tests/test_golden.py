@@ -12,6 +12,12 @@ from a seeded generator.  The moment tensors go through BLAS, whose
 summation order may vary between builds, so ``golden/bound_from_sample.txt``
 is compared key for key and string for string, and number for number at a
 relative tolerance of 1e-12.
+
+``distance`` and the same-law experiments: every estimator kind on small
+seeded samples (the 1-D pair on a grid of quarter steps, so that values tie
+within and across samples), compared with ``golden/distance.txt`` in the
+same way; the cells of a CSV row are compared as numbers where they parse as
+one.  Radii and projections go through BLAS too.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ from cltcert.tensors import Sample
 
 GOLDEN = Path(__file__).parent / "golden" / "bound_moments.txt"
 GOLDEN_FROM_SAMPLE = Path(__file__).parent / "golden" / "bound_from_sample.txt"
+GOLDEN_DISTANCE = Path(__file__).parent / "golden" / "distance.txt"
 
 SUMMARY = {
     "d": 3, "n": 10 ** 8,
@@ -113,3 +120,53 @@ def test_bound_from_sample_matches_golden_output(tmp_path):
     assert len(got) == len(want) == 2 * len(SAMPLE_THEOREMS)
     for line, (g, w) in enumerate(zip(got, want), 1):
         assert_same_json(json.loads(g), json.loads(w), f"line {line}")
+
+
+def distance_outputs(tmp_path) -> list:
+    """Stdout lines of ``distance`` for each kind and of the two same-law
+    experiments."""
+    rng = np.random.default_rng(30)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    Sample(rng.standard_normal((600, 3))).to_csv(str(a))
+    Sample(np.round(8 * rng.standard_t(5, size=(500, 3))) / 8).to_csv(str(b))
+    a1, b1 = tmp_path / "a1.csv", tmp_path / "b1.csv"
+    Sample(np.round(4 * rng.standard_normal((300, 1))) / 4).to_csv(str(a1))
+    Sample(np.round(4 * rng.exponential(size=(250, 1)) - 4) / 4).to_csv(
+        str(b1))
+    runs = [["distance", "--kind", kind, "--sample-a", str(a), "--sample-b",
+             str(b), "--seed", "5", "--centers", "16", "--boot", "30"]
+            for kind in ("ball", "halfspace")]
+    runs += [["distance", "--kind", kind, "--sample-a", str(a1),
+              "--sample-b", str(b1), "--seed", "5"] for kind in ("ks", "levy")]
+    runs += [["experiment", "--name", name, "--seed", "5", "--d", "2", "--n",
+              "500", "--null-runs", "20", "--calibration-n", "256",
+              "--centers", "8", "--boot", "20"]
+             for name in ("same-law-ball", "same-law-halfspace")]
+    out = []
+    for argv in runs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        assert code == 0, argv
+        out.extend(buf.getvalue().splitlines())
+    return out
+
+
+def _cells(line: str) -> list:
+    """A CSV row's cells, as floats where they parse as one."""
+    cells = []
+    for cell in line.split(","):
+        try:
+            cells.append(float(cell))
+        except ValueError:
+            cells.append(cell)
+    return cells
+
+
+def test_distance_matches_golden_output(tmp_path):
+    want = GOLDEN_DISTANCE.read_text().splitlines()
+    got = distance_outputs(tmp_path)
+    assert len(got) == len(want) == 8
+    for line, (g, w) in enumerate(zip(got, want), 1):
+        parse = json.loads if w.startswith("{") else _cells
+        assert_same_json(parse(g), parse(w), f"line {line}")
