@@ -4,11 +4,10 @@ accuracy and the nonparametric bootstrap.
 The package has five layers:
 
 * :mod:`cltcert.tensors` — dense moment tensors, SPD covariance wrappers,
-  tensor norms (Frobenius / max / symmetric operator) and Gaussian-weighted
+  tensor norms (Frobenius / symmetric operator) and Gaussian-weighted
   Hermite integrals;
-* :mod:`cltcert.samplers` — the benchmark distribution zoo, the two-point
-  mixing law behind the third-moment-matching construction, and the
-  sub-Gaussian factor heuristic;
+* :mod:`cltcert.samplers` — the benchmark distribution zoo and the
+  two-point mixing law behind the third-moment-matching construction;
 * :mod:`cltcert.engine` — the bound engine proper: explicit Berry–Esseen-type
   bounds over Euclidean balls and half-spaces, the symmetric-input variant,
   bootstrap accuracy certificates, and score-test bounds;
@@ -41,8 +40,6 @@ from cltcert.tensors import (
     empirical_moment,
     frobenius_norm,
     hermite_interval_integral,
-    max_norm,
-    nonzero_count,
     operator_norm,
     whiten,
 )
@@ -62,8 +59,6 @@ __all__ = [
     "empirical_moment",
     "frobenius_norm",
     "hermite_interval_integral",
-    "max_norm",
-    "nonzero_count",
     "operator_norm",
     "whiten",
     "__version__",

@@ -4,8 +4,8 @@ The kit works on user-supplied per-observation score matrices rather than
 model objects; two demo score generators (Gaussian location, exponential
 rate) cover the common cases.  Finite-sample certificates from the bound
 engine can be attached to every test decision when the caller supplies the
-sub-Gaussian variance factor σ² — certificates always use the supplied
-value, never the heuristic estimator.
+sub-Gaussian variance factor σ²; a finite sample cannot certify that
+factor, so it is never estimated from the data.
 """
 
 from __future__ import annotations

@@ -88,19 +88,21 @@ def _csv_cell(value) -> str:
 # bound command
 # ---------------------------------------------------------------------------
 
-def _warn_unread_flags(args, theorem: Theorem) -> None:
+# the flags of ``bound`` that each route reads: a supplied summary
+# ("moments") or the Theorem.regime of a --from-sample route
+_ROUTE_READS = {
+    "moments": (),
+    "sample": ("from_sample", "sigma"),
+    "same-cov": ("from_sample", "second_sample", "sigma"),
+    "diff-cov": ("from_sample", "second_sample", "sigma", "sigma_t"),
+    "bootstrap": ("from_sample", "sigma2", "sigma", "weight"),
+    "score": ("from_sample", "sigma2", "info"),
+}
+
+
+def _warn_unread_flags(args, reads) -> None:
     """Name on stderr each supplied sample flag that the route of
     ``bound`` does not read (stdout and the exit code do not change)."""
-    reads = {
-        "moments": (),
-        "sample": ("from_sample", "sigma"),
-        "same-cov": ("from_sample", "second_sample", "sigma"),
-        "diff-cov": ("from_sample", "second_sample", "sigma", "sigma_t"),
-        "bootstrap": ("from_sample", "sigma2", "sigma", "weight"),
-        "score": ("from_sample", "sigma2", "info"),
-    }.get("moments" if args.moments else theorem.regime)
-    if reads is None:  # no sample route; _bound_summary rejects the call
-        return
     route = "--moments" if args.moments else "--from-sample"
     for dest in ("from_sample", "second_sample", "sigma", "sigma_t",
                  "weight", "info", "sigma2"):
@@ -111,36 +113,40 @@ def _warn_unread_flags(args, theorem: Theorem) -> None:
 
 
 def _bound_summary(args, theorem: Theorem) -> MomentSummary:
-    _warn_unread_flags(args, theorem)
+    reads = _ROUTE_READS.get("moments" if args.moments else theorem.regime)
+    if reads is None:
+        raise ValueError(f"--theorem {args.theorem} needs --moments "
+                         "(sample moments cannot determine the matching law)")
+    _warn_unread_flags(args, reads)
     if args.moments:
         with open(args.moments, "r", encoding="utf-8") as fh:
             return MomentSummary.from_json(fh.read())
     if not args.from_sample:
         raise ValueError("supply either --moments or --from-sample")
     x = Sample.from_csv(args.from_sample)
-    sigma = _load_matrix(args.sigma) if args.sigma else None
+    # the matrices of the flags this route reads: an ignored flag's file is
+    # never opened
+    mat = {dest: _load_matrix(getattr(args, dest)) for dest in reads
+           if dest in ("sigma", "sigma_t", "weight", "info")
+           and getattr(args, dest)}
     regime = theorem.regime
     if regime == "sample":
-        return summarize_sample(x, sigma=sigma, with_fourth_op=theorem.fourth_op)
+        return summarize_sample(x, sigma=mat.get("sigma"),
+                                with_op_norms=theorem.op_norms)
     if regime in ("same-cov", "diff-cov"):
         if not args.second_sample:
             raise ValueError(f"--theorem {args.theorem} needs --second-sample")
         t = Sample.from_csv(args.second_sample)
-        sigma_t = _load_matrix(args.sigma_t) if args.sigma_t else None
-        return summarize_pair(x, t, sigma=sigma, sigma_t=sigma_t,
+        return summarize_pair(x, t, sigma=mat.get("sigma"),
+                              sigma_t=mat.get("sigma_t"),
                               same_cov=regime == "same-cov",
-                              with_fourth_op=theorem.fourth_op)
-    if regime is None:
-        raise ValueError(f"--theorem {args.theorem} needs --moments "
-                         "(sample moments cannot determine the matching law)")
+                              with_op_norms=theorem.op_norms)
     if args.sigma2 is None:
         raise ValueError(f"--theorem {args.theorem} needs --sigma2")
     if regime == "bootstrap":
-        weight = _load_matrix(args.weight) if args.weight else None
-        return bootstrap_summary(x, sigma2=args.sigma2, sigma=sigma,
-                                 weight=weight)
-    info = _load_matrix(args.info) if args.info else None
-    return score_summary(x, sigma2_s=args.sigma2, info=info)
+        return bootstrap_summary(x, sigma2=args.sigma2, sigma=mat.get("sigma"),
+                                 weight=mat.get("weight"))
+    return score_summary(x, sigma2_s=args.sigma2, info=mat.get("info"))
 
 
 def _cmd_bound(args) -> int:
@@ -342,7 +348,7 @@ def _experiment_normal_sweep(args) -> list[str]:
         est = delta_B_hat(Sample(s_n, label="sums"), Sample(z, label="ref"),
                           n_centers=args.centers, seed=args.seed,
                           n_boot=args.boot)
-        ms = summarize_sample(x, sigma=cov, n=n, with_fourth_op=False)
+        ms = summarize_sample(x, sigma=cov, n=n, with_op_norms=False)
         bound = bound_ball_normal(ms)
         rows.append(_sweep_row(args.d, n, args.family, est.value, est.stderr,
                                bound.total, args.seed))

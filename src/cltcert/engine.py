@@ -31,8 +31,6 @@ from cltcert.tensors import (
     SpdMatrix,
     empirical_moment,
     frobenius_norm,
-    max_norm,
-    nonzero_count,
     operator_norm,
     whiten,
 )
@@ -268,7 +266,11 @@ class MomentSummary:
 
 
 def _surrogates(frob, op, mx, nz, d, scale: float = 1.0) -> dict:
-    """All available envelopes of a sublinear third-moment functional."""
+    """All available envelopes of a sublinear third-moment functional.
+
+    A sample summary sets the Frobenius norm, which is never above the other
+    two (‖A‖_F ≤ d·‖A‖ and ‖A‖_F ≤ max|a|·√nonzero for a symmetric order-3
+    tensor); a supplied summary may set any of them."""
     out = {}
     if frob is not None:
         out["frobenius"] = scale * frob
@@ -654,12 +656,13 @@ class Theorem:
     "sample" (:func:`summarize_sample`), "same-cov" or "diff-cov"
     (:func:`summarize_pair` with ``same_cov`` true or false), "bootstrap"
     (:func:`bootstrap_summary`) or "score" (:func:`score_summary`); None when
-    only a supplied summary can serve.  ``fourth_op`` says whether it reads
-    order-4 operator norms, and ``uses_beta`` whether β applies."""
+    only a supplied summary can serve.  ``op_norms`` says whether it reads
+    tensor operator norms (the half-space theorems do, and only they), and
+    ``uses_beta`` whether β applies."""
 
     evaluate: Callable[..., BoundBreakdown]
     regime: Optional[str]
-    fourth_op: bool = False
+    op_norms: bool = False
     uses_beta: bool = True
 
 
@@ -672,13 +675,13 @@ THEOREM_TABLE = {
         lambda m, b, c: bound_ball_general(m, b, c, same_cov=False), "diff-cov"),
     "halfspace-normal": Theorem(
         lambda m, b, c: bound_halfspace_normal(m, b, c), "sample",
-        fourth_op=True),
+        op_norms=True),
     "halfspace-same-cov": Theorem(
         lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=True),
-        "same-cov", fourth_op=True),
+        "same-cov", op_norms=True),
     "halfspace-diff-cov": Theorem(
         lambda m, b, c: bound_halfspace_general(m, b, c, same_cov=False),
-        "diff-cov", fourth_op=True),
+        "diff-cov", op_norms=True),
     "symmetric": Theorem(
         lambda m, b, c: bound_ball_symmetric(m, c, variant="sixth_moment"),
         None, uses_beta=False),
@@ -787,11 +790,6 @@ def summarize_gaussian(sigma, n: int) -> MomentSummary:
         **_sigma_stats(spd))
 
 
-def _tensor_norm_pack(t: MomentTensor):
-    return (frobenius_norm(t), operator_norm(t).value, max_norm(t),
-            nonzero_count(t))
-
-
 def _centered(x: Sample) -> Sample:
     return Sample(x.data - x.data.mean(axis=0))
 
@@ -801,37 +799,45 @@ def _fourth_mean(rows: Sample) -> float:
     return float((np.sum(rows.data ** 2, axis=1) ** 2).mean())
 
 
+def _third_norms(t: MomentTensor, wanted: bool):
+    """‖A‖_F of a third-moment tensor A, and ‖A‖ when wanted (else None)."""
+    return frobenius_norm(t), operator_norm(t).value if wanted else None
+
+
 def _fourth_op(rows: Sample, wanted: bool) -> Optional[float]:
     return operator_norm(empirical_moment(rows, 4)).value if wanted else None
 
 
 def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
-                     with_fourth_op: bool = True) -> MomentSummary:
+                     with_op_norms: bool = True) -> MomentSummary:
     """Empirical one-sample summary: Σ's scalars and the whitened moments
     that the one-sample theorems read.
 
     ``sigma`` supplies a known covariance; otherwise the biased sample
     covariance is used.  ``n`` overrides the sum length the bound is for
-    (defaults to the sample size).
+    (defaults to the sample size).  ``with_op_norms`` builds the operator
+    norms ``x_w3_op`` and ``x_w4_op``, which only the half-space theorems
+    read; the ball theorems take the Frobenius norm of the third moment.
     """
     spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
     w = whiten(_centered(x), spd)
-    f, o, m, nz = _tensor_norm_pack(empirical_moment(w, 3))
+    f, o = _third_norms(empirical_moment(w, 3), with_op_norms)
     return MomentSummary(
-        d=x.dim, n=n if n is not None else x.n,
-        x_w3_frob=f, x_w3_op=o, x_w3_max=m, x_w3_nonzero=nz,
-        x_w4_mean=_fourth_mean(w), x_w4_op=_fourth_op(w, with_fourth_op),
+        d=x.dim, n=n if n is not None else x.n, x_w3_frob=f, x_w3_op=o,
+        x_w4_mean=_fourth_mean(w), x_w4_op=_fourth_op(w, with_op_norms),
         **_sigma_stats(spd))
 
 
 def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
                    same_cov: bool = True, n: Optional[int] = None,
-                   with_fourth_op: bool = True) -> MomentSummary:
+                   with_op_norms: bool = True) -> MomentSummary:
     """Two-sample summary for the comparison bounds.
 
     In the same-covariance regime both samples are whitened by the X-side
     covariance (they share Σ by assumption).  Otherwise their unwhitened
     central moments, both covariances and the gaps between them are used.
+    ``with_op_norms`` builds the operator norms of the third-moment
+    difference and of both fourth moments, as in :func:`summarize_sample`.
     """
     if x.dim != t.dim:
         raise ValueError("samples have different dimensions")
@@ -840,26 +846,26 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     d, n = x.dim, n if n is not None else x.n
     if same_cov:
         wx, wt = whiten(cx, spd_x), whiten(ct, spd_x)
-        f, o, m, nz = _tensor_norm_pack(
-            empirical_moment(wx, 3) - empirical_moment(wt, 3))
+        f, o = _third_norms(empirical_moment(wx, 3) - empirical_moment(wt, 3),
+                            with_op_norms)
         return MomentSummary(
-            d=d, n=n, dw3_frob=f, dw3_op=o, dw3_max=m, dw3_nonzero=nz,
+            d=d, n=n, dw3_frob=f, dw3_op=o,
             x_w4_mean=_fourth_mean(wx), t_w4_mean=_fourth_mean(wt),
-            x_w4_op=_fourth_op(wx, with_fourth_op),
-            t_w4_op=_fourth_op(wt, with_fourth_op), **_sigma_stats(spd_x))
+            x_w4_op=_fourth_op(wx, with_op_norms),
+            t_w4_op=_fourth_op(wt, with_op_norms), **_sigma_stats(spd_x))
     spd_t = SpdMatrix.coerce(ct.covariance() if sigma_t is None else sigma_t)
     gap = spd_x.matrix - spd_t.matrix
-    f, o, m, nz = _tensor_norm_pack(
-        empirical_moment(cx, 3) - empirical_moment(ct, 3))
+    f, o = _third_norms(empirical_moment(cx, 3) - empirical_moment(ct, 3),
+                        with_op_norms)
     return MomentSummary(
         d=d, n=n, sigma_t_op=spd_t.operator_norm,
         sigma_t_min_eig=spd_t.min_eigenvalue,
         cov_gap_frob=float(np.linalg.norm(gap)),
         cov_gap_op=float(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.T))).max()),
-        d3_frob=f, d3_op=o, d3_max=m, d3_nonzero=nz,
+        d3_frob=f, d3_op=o,
         x_c4_mean=_fourth_mean(cx), t_c4_mean=_fourth_mean(ct),
-        x_raw4_op=_fourth_op(cx, with_fourth_op),
-        t_raw4_op=_fourth_op(ct, with_fourth_op),
+        x_raw4_op=_fourth_op(cx, with_op_norms),
+        t_raw4_op=_fourth_op(ct, with_op_norms),
         lambda0_sq=min(spd_x.min_eigenvalue, spd_t.min_eigenvalue),
         **_sigma_stats(spd_x))
 

@@ -1,5 +1,5 @@
-"""Benchmark distributions, the two-point mixing law, the moment-matched
-smoothing construction, and the sub-Gaussian factor heuristic.
+"""Benchmark distributions, the two-point mixing law and the moment-matched
+smoothing construction.
 
 Reproducibility contract: every sampler is a pure function of
 ``(parameters, n, seed)``.  Derived randomness uses :func:`substream`, which
@@ -21,7 +21,6 @@ from cltcert.tensors import Sample, SpdMatrix
 __all__ = [
     "TwoPointLaw",
     "DistributionSpec",
-    "SubGaussianFactor",
     "alpha_law",
     "sample_gaussian",
     "sample_portnoy",
@@ -29,7 +28,6 @@ __all__ = [
     "sample_laplace_product",
     "sample_exponential_centered",
     "construct_Y",
-    "sub_gaussian_factor",
     "substream",
     "FAMILIES",
 ]
@@ -278,64 +276,3 @@ def construct_Y(x: Sample, beta: float, seed: int,
         x_tilde = x.data[idx]
     return Sample(z + alpha[:, None] * x_tilde, seed=seed,
                   label=(x.label + ":Y").lstrip(":"))
-
-
-# ---------------------------------------------------------------------------
-# the sub-Gaussian factor heuristic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubGaussianFactor:
-    """Heuristic sub-Gaussian variance factor.
-
-    ``value`` is max over coordinates of max(sample variance,
-    sup_γ 2·log 𝔼̂ exp(γ x) / γ²) over a coordinate-scaled γ grid.  This is a
-    plug-in diagnostic, not a certificate: a finite sample cannot certify an
-    MGF bound, so ``heuristic`` is always True and certificate-producing
-    callers must take σ² as user input instead.
-    """
-
-    value: float
-    per_coordinate: tuple
-    truncated: bool
-    heuristic: bool = True
-
-
-# γ grid points per sign in sub_gaussian_factor, and the largest |γ|·max|x|
-# whose exponential is taken (exp overflows float64 just above 709)
-MGF_GRID_POINTS = 24
-MGF_MAX_EXPONENT = 700.0
-
-
-def sub_gaussian_factor(sample: Sample) -> SubGaussianFactor:
-    if sample.n < 100:
-        raise ValueError(f"need n >= 100 for the MGF heuristic, got {sample.n}")
-    x = sample.data - sample.data.mean(axis=0)
-    truncated = False
-    per_coord = []
-    for j in range(sample.dim):
-        col = x[:, j]
-        var = float(col.var())
-        if var == 0.0:
-            per_coord.append(0.0)
-            continue
-        sd = math.sqrt(var)
-        # γ grid scaled by 1/sd so the estimate is exactly 2-homogeneous
-        gammas = np.linspace(0.25, 3.0, MGF_GRID_POINTS) / sd
-        gammas = np.concatenate([-gammas[::-1], gammas])
-        best = var
-        amax = float(np.abs(col).max())
-        for g in gammas:
-            if abs(g) * amax > MGF_MAX_EXPONENT:  # the MGF would overflow
-                truncated = True
-                continue
-            mgf = float(np.exp(g * col).mean())
-            if mgf <= 0.0 or not math.isfinite(mgf):
-                truncated = True
-                continue
-            best = max(best, 2.0 * math.log(mgf) / (g * g))
-        per_coord.append(best)
-    return SubGaussianFactor(value=float(max(per_coord)),
-                             per_coordinate=tuple(per_coord),
-                             truncated=truncated)

@@ -1,16 +1,13 @@
 """Dense moment tensors, SPD covariance wrappers and sample containers.
 
 The quantities consumed by the bound engine are low-order moment tensors
-E[X^{⊗k}] (k up to 6) together with a handful of norms:
+E[X^{⊗k}] (k up to 4) together with two norms:
 
 * Frobenius norm ‖A‖_F,
-* max (entrywise) norm ‖A‖_max,
-* symmetric operator norm ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩|,
-* number of nonzero entries N (used by the sparse third-moment surrogate
-  m₃·√N).
+* symmetric operator norm ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩|.
 
-Everything is stored densely; the admissible sizes (d ≤ 64 for order 4,
-d ≤ 22 for order 6) keep the largest tensor under 2^28 entries.
+Everything is stored densely; a tensor may hold at most 2^28 entries
+(d ≤ 128 for order 4).
 
 The two hot kernels are matrix products on unfoldings.  ``empirical_moment``
 forms the d^⌊k/2⌋×d^⌈k/2⌉ unfolding of the moment as one GEMM of row-wise
@@ -38,8 +35,6 @@ __all__ = [
     "OperatorNormResult",
     "empirical_moment",
     "frobenius_norm",
-    "max_norm",
-    "nonzero_count",
     "operator_norm",
     "whiten",
     "hermite_value",
@@ -279,9 +274,6 @@ KRON_CHUNK_CELLS = 2 ** 22
 # most rows empirical_moment accumulates per chunk, whatever the budget allows
 MOMENT_CHUNK_ROWS = 262144
 
-# entries with |a| ≤ NONZERO_RTOL·‖A‖_max count as zero in nonzero_count
-NONZERO_RTOL = 1e-12
-
 # operator_norm's power iteration: random starts beyond the canonical ones,
 # iteration cap per start, relative fixed-point tolerance, and the seed of
 # the random starts
@@ -317,10 +309,11 @@ def empirical_moment(sample: Sample, order: int) -> MomentTensor:
     Writing k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is
     the GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks of at
     most ``MOMENT_CHUNK_ROWS`` rows whose Kronecker blocks stay within
-    ``KRON_CHUNK_CELLS`` cells (order 1 is a column sum).
+    ``KRON_CHUNK_CELLS`` cells (order 1 is a column sum).  Orders 1–4 are
+    accepted: no bound reads a higher moment.
     """
-    if order < 1 or order > 6:
-        raise ValueError(f"order must be in 1..6, got {order}")
+    if order < 1 or order > 4:
+        raise ValueError(f"order must be in 1..4, got {order}")
     _check_dense_size(order, sample.dim)
     x = sample.data
     n, d = x.shape
@@ -334,17 +327,6 @@ def empirical_moment(sample: Sample, order: int) -> MomentTensor:
 
 def frobenius_norm(tensor: MomentTensor) -> float:
     return float(np.sqrt(np.sum(tensor.data ** 2)))
-
-
-def max_norm(tensor: MomentTensor) -> float:
-    return float(np.abs(tensor.data).max())
-
-
-def nonzero_count(tensor: MomentTensor) -> int:
-    """Number of entries with |a| > NONZERO_RTOL·‖A‖_max, so an exactly-zero
-    tensor reports zero entries instead of chasing noise."""
-    tol = NONZERO_RTOL * max_norm(tensor)
-    return int(np.count_nonzero(np.abs(tensor.data) > tol))
 
 
 @dataclass(frozen=True)

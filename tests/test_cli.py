@@ -151,11 +151,12 @@ def test_bound_builds_fourth_order_norms_only_for_halfspaces(
     moment, norm = engine.empirical_moment, engine.operator_norm
     monkeypatch.setattr(engine, "empirical_moment", moment_spy)
     monkeypatch.setattr(engine, "operator_norm", norm_spy)
-    # (order-3 moments, order-4 moments, operator norms) per theorem: a
-    # third-moment norm pack, plus the order-4 norms of the half-spaces
-    expected = {"ball-normal": (1, 0, 1), "score-chi2": (1, 0, 1),
-                "halfspace-normal": (1, 1, 2), "ball-same-cov": (2, 0, 1),
-                "halfspace-same-cov": (2, 2, 3), "ball-diff-cov": (2, 0, 1),
+    # (order-3 moments, order-4 moments, operator norms) per theorem: the
+    # ball routes read the Frobenius norm of the third moment only; the
+    # half-spaces read its operator norm and those of the order-4 moments
+    expected = {"ball-normal": (1, 0, 0), "score-chi2": (1, 0, 0),
+                "halfspace-normal": (1, 1, 2), "ball-same-cov": (2, 0, 0),
+                "halfspace-same-cov": (2, 2, 3), "ball-diff-cov": (2, 0, 0),
                 "halfspace-diff-cov": (2, 2, 3)}
     for theorem, counts in expected.items():
         orders.clear()
@@ -226,6 +227,27 @@ def test_bound_warns_about_flags_its_route_does_not_read(
         assert warned == ignored, theorem
         assert all(theorem in line for line in err.splitlines()
                    if line.startswith("warning:"))
+
+
+def test_bound_opens_no_file_its_route_ignores(tmp_path, gaussian_csvs,
+                                               capsys):
+    # a missing file behind an ignored flag is warned about, never opened
+    a, b = gaussian_csvs
+    missing = str(tmp_path / "missing.csv")
+    cases = [
+        ("score-bootstrap", ["--from-sample", a, "--sigma2", "3", "--n",
+                             "100000000", "--sigma", missing], "--sigma"),
+        ("ball-same-cov", ["--from-sample", a, "--second-sample", b,
+                           "--sigma-t", missing], "--sigma-t"),
+    ]
+    for theorem, flags, flag in cases:
+        argv = ["bound", "--theorem", theorem] + flags
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, theorem
+        assert err.splitlines()[0] == (
+            f"warning: {flag} is ignored: --theorem {theorem} with "
+            "--from-sample does not read it")
+        assert (code, out) == run_cli(argv[:-2], capsys)[:2]
 
 
 def test_bound_ledger_overrides_change_total(tmp_path, capsys):

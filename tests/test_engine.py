@@ -1,6 +1,7 @@
 """Bound engine: h-functions, all bound formulas, β search, constants."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -32,7 +33,13 @@ from cltcert.engine import (
     verify_constants_constraint,
 )
 from cltcert.samplers import sample_gaussian
-from cltcert.tensors import Sample
+from cltcert.tensors import (
+    MomentTensor,
+    Sample,
+    empirical_moment,
+    operator_norm,
+    whiten,
+)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -546,6 +553,65 @@ def test_summarize_pair_same_and_diff_cov():
     bb = bound_ball_general(ms2, same_cov=False)
     assert bb.term("covariance_gap") == pytest.approx(0.2162, rel=2e-3)
     assert ms2.x_w3_frob is None and ms2.x_w4_mean is None
+
+
+# tensor operator norms, which only the half-space theorems read, and the
+# max/nonzero-count norms, which only a supplied summary sets
+OP_FIELDS = ("x_w3_op", "x_w4_op", "t_w4_op", "dw3_op", "d3_op", "x_raw4_op",
+             "t_raw4_op")
+MAX_NONZERO_FIELDS = ("x_w3_max", "x_w3_nonzero", "dw3_max", "dw3_nonzero",
+                      "d3_max", "d3_nonzero", "d4_max")
+
+
+def test_builders_build_operator_norms_only_when_asked():
+    a = sample_gaussian(np.eye(2), 3000, seed=8)
+    b = sample_gaussian(np.diag([1.0, 1.21]), 3000, seed=9)
+    builders = {
+        "x_w3_frob": lambda on: summarize_sample(a, with_op_norms=on),
+        "dw3_frob": lambda on: summarize_pair(a, b, same_cov=True,
+                                              with_op_norms=on),
+        "d3_frob": lambda on: summarize_pair(a, b, same_cov=False,
+                                             with_op_norms=on),
+    }
+    for frob, build in builders.items():
+        bare, full = build(False), build(True)
+        assert getattr(bare, frob) == getattr(full, frob) > 0.0, frob
+        assert all(getattr(bare, f) is None for f in OP_FIELDS), frob
+        assert all(getattr(ms, f) is None for ms in (bare, full)
+                   for f in MAX_NONZERO_FIELDS), frob
+        assert any(getattr(full, f) is not None for f in OP_FIELDS), frob
+    # without the operator norm the ball bound's envelope is the Frobenius
+    # norm alone, and its total is unchanged
+    bare, full = summarize_sample(a, with_op_norms=False), summarize_sample(a)
+    assert bound_ball_normal(bare).inputs["r3_surrogates"] == {
+        "frobenius": bare.x_w3_frob}
+    assert bound_ball_normal(bare).total == bound_ball_normal(full).total
+
+
+def _symmetric_order3(rng, d):
+    a = rng.standard_normal((d, d, d))
+    return sum(np.transpose(a, p)
+               for p in itertools.permutations(range(3))) / 6.0
+
+
+def test_frobenius_envelope_is_never_above_the_others():
+    # ‖A‖_F ≤ d·‖A‖ (slice A into d matrices; Banach 1938) and
+    # ‖A‖_F ≤ max|a|·√nonzero (Cauchy–Schwarz): the sample builders set only
+    # the Frobenius envelope, which is why these two may be left out.  The
+    # first also checks that operator_norm's lower estimate is within a
+    # factor d of the norm.
+    rng = np.random.default_rng(50)
+    tensors = [MomentTensor(3, d, _symmetric_order3(rng, d))
+               for d in (2, 3, 5, 8) for _ in range(5)]
+    # the whitened third moment of the golden file's X sample
+    x = np.random.default_rng(20).exponential(size=(3000, 3)) - 1.0
+    tensors.append(empirical_moment(whiten(Sample(x - x.mean(axis=0))), 3))
+    for t in tensors:
+        a = t.data
+        frob = math.sqrt(float(np.sum(a * a)))
+        assert frob <= t.dim * operator_norm(t).value * (1.0 + 1e-12), t.dim
+        assert frob <= (float(np.abs(a).max())
+                        * math.sqrt(np.count_nonzero(a)) * (1.0 + 1e-12))
 
 
 def test_bootstrap_and_score_summaries():

@@ -17,7 +17,6 @@ from cltcert.samplers import (
     sample_laplace_product,
     sample_portnoy,
     sample_symmetric_L,
-    sub_gaussian_factor,
     substream,
 )
 from cltcert.tensors import Sample
@@ -227,29 +226,6 @@ def test_construct_Y_validation_and_reproducibility():
     y1 = construct_Y(x, beta=0.5, seed=29, spec=spec)
     y2 = construct_Y(x, beta=0.5, seed=29, spec=spec)
     np.testing.assert_array_equal(y1.data, y2.data)
-
-
-# ---------------------------------------------------------------------------
-# concentration + sub-Gaussian factor
-# ---------------------------------------------------------------------------
-
-def test_sub_gaussian_factor_gaussian_and_rademacher():
-    rng = np.random.default_rng(31)
-    g = sub_gaussian_factor(Sample(rng.standard_normal((100_000, 1))))
-    assert 0.85 < g.value < 1.25
-    assert g.heuristic
-    r = sub_gaussian_factor(Sample(rng.choice([-1.0, 1.0], size=(100_000, 1))))
-    assert r.value <= 1.0 + 1e-8
-
-
-def test_sub_gaussian_factor_homogeneity_and_validation():
-    rng = np.random.default_rng(32)
-    x = rng.standard_normal((5000, 2))
-    f1 = sub_gaussian_factor(Sample(x))
-    f2 = sub_gaussian_factor(Sample(2.0 * x))
-    assert f2.value == pytest.approx(4.0 * f1.value, rel=1e-9)
-    with pytest.raises(ValueError):
-        sub_gaussian_factor(Sample(np.zeros((50, 1))))
 
 
 # ---------------------------------------------------------------------------
