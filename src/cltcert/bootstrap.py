@@ -48,7 +48,8 @@ __all__ = [
 
 MIN_REPLICATES = 200
 
-# count cells (replicates × n) _resample_means draws at once: 32 MB of int64
+# count cells (replicates × n) _resample_means draws at once, as index draws
+# counted with bincount: 32 MB of int64
 RESAMPLE_CHUNK_CELLS = 2 ** 22
 
 # least number of pilot rows the coverage certificate's moments come from
@@ -68,15 +69,24 @@ def _order_stat_quantile(replicates: np.ndarray, alpha: float) -> float:
     return float(np.sort(replicates)[k - 1])
 
 
+def _resample_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m×n counts of ``m`` Efron resamples: row r's n uniform index draws
+    are shifted by r·n, so one bincount over m·n cells counts every row."""
+    idx = rng.integers(0, n, size=(m, n))
+    idx += np.arange(0, m * n, n)[:, None]
+    return np.bincount(idx.ravel(), minlength=m * n).reshape(m, n)
+
+
 def _resample_means(centered: np.ndarray, b: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``b`` Efron resample means of the centered rows (conditional mean 0,
-    covariance Σ̂/n), from multinomial counts drawn in row chunks of at most
-    ``RESAMPLE_CHUNK_CELLS`` cells: the same counts as one b×n draw."""
+    covariance Σ̂/n), from index draws counted with bincount in row chunks
+    of at most ``RESAMPLE_CHUNK_CELLS`` cells: the same draws as one b×n
+    draw.  Each chunk's counts are freed after its product, before the
+    next chunk is drawn."""
     n = centered.shape[0]
-    p = np.full(n, 1.0 / n)
     step = max(1, RESAMPLE_CHUNK_CELLS // n)
-    return np.concatenate([rng.multinomial(n, p, size=min(step, b - i))
+    return np.concatenate([_resample_counts(n, min(step, b - i), rng)
                            @ centered / n for i in range(0, b, step)])
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cltcert import bootstrap
+from cltcert import bootstrap, cli
 from cltcert.bootstrap import (
     RESAMPLE_CHUNK_CELLS,
     _resample_means,
@@ -29,17 +29,35 @@ from cltcert.tensors import Sample, SpdError
 # Efron resampling
 # ---------------------------------------------------------------------------
 
-def test_resample_kernel_matches_one_shot_multinomial(monkeypatch):
-    # a 1000-cell budget splits B = 25 replicates of n = 300 rows into
-    # chunks of 3 rows, the last one short
+@pytest.mark.parametrize("n", [300, 301])
+def test_resample_kernel_matches_one_shot_index_draw(monkeypatch, n):
+    # a 1000-cell budget splits B = 25 replicates into chunks of 3 rows,
+    # the last one short; at n = 301 each chunk's m·n draws are odd
     monkeypatch.setattr(bootstrap, "RESAMPLE_CHUNK_CELLS", 1000)
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((300, 3))
-    centered = x - x.mean(axis=0)
-    chunked = _resample_means(centered, 25, np.random.default_rng(9))
-    counts = np.random.default_rng(9).multinomial(300, np.full(300, 1 / 300),
-                                                  size=25)
-    np.testing.assert_allclose(chunked, counts @ centered / 300, rtol=1e-12)
+    x = np.random.default_rng(8).standard_normal((n, 3))
+    c = x - x.mean(axis=0)
+    rng = np.random.default_rng(9)
+    chunked = _resample_means(c, 25, rng)
+    one_shot = np.random.default_rng(9)
+    expected = c[one_shot.integers(0, n, size=(25, n))].mean(axis=1)
+    np.testing.assert_allclose(chunked, expected, rtol=1e-12)
+    assert rng.bit_generator.state == one_shot.bit_generator.state
+
+
+def test_resample_counts_follow_the_multinomial_law():
+    # on the identity rows each mean is a count row over n: the counts must
+    # be n draws, not n − 1, and multinomial(n, 1/n), not Poisson(1)
+    n, reps = 6, 20_000
+    means = _resample_means(np.eye(n), reps, np.random.default_rng(3))
+    counts = np.rint(n * means).astype(np.int64)
+    np.testing.assert_allclose(n * means, counts, atol=1e-9)
+    assert (counts >= 0).all()
+    assert (counts.sum(axis=1) == n).all()
+    cells = counts.size
+    for k in range(4):
+        p = math.comb(n, k) * (1 / n) ** k * (1 - 1 / n) ** (n - k)
+        freq = np.count_nonzero(counts == k) / cells
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / cells)
 
 
 def test_resample_kernel_memory_stays_within_the_chunk_budget():
@@ -262,6 +280,28 @@ def test_score_level_experiment_smoke_and_determinism():
     assert r1 == r2
     assert 0.0 <= r1.level <= 0.5
     assert r1.stderr > 0
+
+
+def test_experiments_do_not_depend_on_the_resample_chunk(monkeypatch,
+                                                         capsys):
+    argv = {
+        "score-level": ["experiment", "--name", "score-level", "--seed", "5",
+                        "--d", "2", "--n", "50", "--B", "200", "--trials",
+                        "40", "--alpha", "0.1"],
+        "coverage": ["experiment", "--name", "coverage", "--seed", "5",
+                     "--d", "2", "--n", "50", "--B", "200", "--trials",
+                     "200", "--alpha", "0.1"],
+    }
+
+    def stdout(args):
+        assert cli.main(args) == 0
+        return capsys.readouterr().out
+
+    default = {name: stdout(args) for name, args in argv.items()}
+    assert default == {name: stdout(args) for name, args in argv.items()}
+    # 1000 cells hold 20 replicates of n = 50: B = 200 takes 10 chunks
+    monkeypatch.setattr(bootstrap, "RESAMPLE_CHUNK_CELLS", 1000)
+    assert default == {name: stdout(args) for name, args in argv.items()}
 
 
 def test_coverage_experiment_smoke():
