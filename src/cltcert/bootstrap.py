@@ -1,11 +1,11 @@
 """Efron bootstrap, score tests, and elliptical confidence regions.
 
 The kit works on user-supplied per-observation score matrices rather than
-model objects; two demo score generators (Gaussian location, exponential
-rate) cover the common cases.  Finite-sample certificates from the bound
-engine can be attached to every test decision when the caller supplies the
-sub-Gaussian variance factor σ²; a finite sample cannot certify that
-factor, so it is never estimated from the data.
+model objects.  Finite-sample certificates from the bound engine can be
+attached to every test decision when the caller supplies the sub-Gaussian
+variance factor σ²; a finite sample cannot certify that factor, so it is
+never estimated from the data.  A result carries what the test computed,
+not the configuration it was called with.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "bootstrap_score_test",
     "chi2_quantile",
     "elliptical_coverage_experiment",
-    "exponential_rate_scores",
-    "gaussian_location_scores",
     "rao_score_test",
     "score_level_experiment",
 ]
@@ -111,15 +109,8 @@ class BootstrapResult:
     """Replicate values plus the requested empirical quantile."""
 
     replicates: np.ndarray
-    alpha: float
     quantile: float
-    B: int
-    seed: int
     certificate: Optional[BoundBreakdown] = None
-
-    def __post_init__(self):
-        if self.B < MIN_REPLICATES:
-            raise ValueError(f"B must be >= {MIN_REPLICATES}, got {self.B}")
 
 
 def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
@@ -145,8 +136,8 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     if sigma2 is not None:
         ms = bootstrap_summary(s, sigma2=sigma2, weight=w_spd.matrix)
         certificate = bootstrap_delta(ms)
-    return BootstrapResult(replicates=stats, alpha=alpha, quantile=quantile,
-                           B=B, seed=seed, certificate=certificate)
+    return BootstrapResult(replicates=stats, quantile=quantile,
+                           certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +149,6 @@ class ScoreTestResult:
     reject: bool
     statistic: float        # R̃ on the raw (uncentered) score sum
     threshold: float        # bootstrap quantile t*_α
-    alpha: float
-    B: int
-    seed: int
     certificate: Optional[BoundBreakdown] = None
     certificate_error: Optional[str] = None
 
@@ -190,8 +178,7 @@ def bootstrap_score_test(scores: Sample, alpha: float, B: int = 2000,
         except InfeasibleError as exc:
             cert_error = str(exc)
     return ScoreTestResult(reject=statistic > threshold, statistic=statistic,
-                           threshold=threshold, alpha=alpha, B=B, seed=seed,
-                           certificate=certificate,
+                           threshold=threshold, certificate=certificate,
                            certificate_error=cert_error)
 
 
@@ -200,7 +187,6 @@ class RaoResult:
     reject: bool
     statistic: float        # R = sᵀ I⁻¹ s on the total score
     threshold: float        # (1−α)-quantile of χ²_d
-    alpha: float
     certificate: Optional[BoundBreakdown] = None
 
 
@@ -230,28 +216,7 @@ def rao_score_test(scores: Sample, info, alpha: float,
     threshold = chi2_quantile(alpha, scores.dim)
     certificate = score2_bound(moments) if moments is not None else None
     return RaoResult(reject=statistic > threshold, statistic=statistic,
-                     threshold=threshold, alpha=alpha, certificate=certificate)
-
-
-def gaussian_location_scores(data: Sample, mu0) -> Sample:
-    """Per-observation scores for the N(μ, I_d) location model at μ = μ₀."""
-    mu0 = np.asarray(mu0, dtype=float).ravel()
-    if mu0.size != data.dim:
-        raise ValueError("mu0 dimension mismatch")
-    return Sample(data.data - mu0, seed=data.seed,
-                  label=f"{data.label}:loc_scores")
-
-
-def exponential_rate_scores(data: Sample, rate0: float) -> Sample:
-    """Per-observation scores for the Exp(λ) rate model at λ = λ₀ (1-D)."""
-    if data.dim != 1:
-        raise ValueError("exponential rate model is one-dimensional")
-    if rate0 <= 0.0:
-        raise ValueError("rate0 must be > 0")
-    if np.any(data.data < 0.0):
-        raise ValueError("exponential data must be nonnegative")
-    return Sample(1.0 / rate0 - data.data, seed=data.seed,
-                  label=f"{data.label}:rate_scores")
+                     threshold=threshold, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +227,6 @@ def exponential_rate_scores(data: Sample, rate0: float) -> Sample:
 class LevelResult:
     level: float
     stderr: float
-    trials: int
-    alpha: float
-    B: int
-    n: int
-    d: int
-    seed: int
 
 
 def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
@@ -275,6 +234,8 @@ def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
     """Empirical level of the bootstrap score test under the null, on
     i.i.d. standard Gaussian scores (a σ_s-free run)."""
     _check_alpha(alpha)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rejections = 0
@@ -286,30 +247,15 @@ def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
             rejections += 1
     level = rejections / trials
     stderr = math.sqrt(max(level * (1.0 - level), 1e-12) / trials)
-    return LevelResult(level=level, stderr=stderr, trials=trials, alpha=alpha,
-                       B=B, n=n, d=d, seed=seed)
+    return LevelResult(level=level, stderr=stderr)
 
 
 @dataclass(frozen=True)
 class CoverageResult:
     coverage: float
     stderr: float
-    trials: int
-    alpha: float
-    B: int
-    n: int
-    d: int
-    seed: int
     certificate: Optional[BoundBreakdown] = None
     certificate_error: Optional[str] = None
-
-
-def _spec_mean(spec: DistributionSpec) -> np.ndarray:
-    if spec.family == "user_csv":
-        raise ValueError("coverage experiment needs a family with known mean")
-    if spec.family == "gaussian" and "mean" in spec.params:
-        return np.asarray(spec.params["mean"], dtype=float)
-    return np.zeros(spec.d)
 
 
 def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
@@ -323,13 +269,14 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
     reported in ``certificate_error`` and does not abort the empirical run.
     """
     _check_alpha(alpha)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if trials < 200:
         raise ValueError("trials must be >= 200 for a stable coverage rate")
     w_spd = SpdMatrix.coerce(w)
     if w_spd.dim != spec.d:
         raise ValueError("W dimension does not match the distribution")
     w_half = w_spd.sqrt()
-    mu = _spec_mean(spec)
 
     hits = 0
     for trial in range(trials):
@@ -339,7 +286,8 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
         means = _resample_means(data - xbar, B, rng)
         stats = math.sqrt(n) * np.linalg.norm(means @ w_half, axis=1)
         q_star = _order_stat_quantile(stats, alpha)
-        observed = math.sqrt(n) * float(np.linalg.norm(w_half @ (xbar - mu)))
+        # every family has mean 0
+        observed = math.sqrt(n) * float(np.linalg.norm(w_half @ xbar))
         if observed <= q_star:
             hits += 1
     coverage = hits / trials
@@ -356,6 +304,5 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
             certificate = delta_W(ms)
         except InfeasibleError as exc:
             cert_error = str(exc)
-    return CoverageResult(coverage=coverage, stderr=stderr, trials=trials,
-                          alpha=alpha, B=B, n=n, d=spec.d, seed=seed,
+    return CoverageResult(coverage=coverage, stderr=stderr,
                           certificate=certificate, certificate_error=cert_error)

@@ -35,6 +35,7 @@ from .distances import (
     same_law_threshold,
 )
 from .engine import (
+    CONSTANT_TUPLES,
     THEOREM_TABLE,
     ConstantsLedger,
     InfeasibleError,
@@ -56,11 +57,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 SWEEP_HEADER = "d,n,family,estimate,stderr,bound_total,seed"
-
-# admissible (K, M, a, b) tuples behind the published smoothing constants
-CONSTANT_TUPLES = ((3, 54.1, 27.46, 14.0),
-                   (4, 9.5, 6.33, 8.5),
-                   (6, 2.9, 2.07, 8.5))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -468,8 +464,7 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
     p.add_argument("--B", type=int, default=1000)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--family", default="gaussian",
-                   choices=[f for f in FAMILIES if f != "user_csv"])
+    p.add_argument("--family", default="gaussian", choices=tuple(FAMILIES))
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--d-list", default="8,16,32,64")
     p.add_argument("--n-list", default="1000,4000,16000")

@@ -198,6 +198,16 @@ def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
     return float(vals.std(ddof=1))
 
 
+def _check_search(sa: Sample, sb: Sample, name: str, n_random: int,
+                  n_boot: int) -> None:
+    if sa.dim != sb.dim:
+        raise ValueError(f"dimension mismatch: {sa.dim} != {sb.dim}")
+    if n_random < 0:
+        raise ValueError(f"{name} must be >= 0, got {n_random}")
+    if n_boot < 0:
+        raise ValueError(f"n_boot must be >= 0, got {n_boot}")
+
+
 def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
                 n_boot: int = 100) -> DistanceEstimate:
     """Lower estimate of the uniform distance over Euclidean balls.
@@ -210,17 +220,14 @@ def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
     at the maximizing center, so it reflects sampling noise of the KS value
     there, not search-set variability.
     """
-    if sa.dim != sb.dim:
-        raise ValueError(f"dimension mismatch: {sa.dim} != {sb.dim}")
+    _check_search(sa, sb, "n_centers", n_centers, n_boot)
     d = sa.dim
     scale = _pooled_scale(sa, sb)
     rng_c = np.random.default_rng(substream(seed, "delta_B:centers", 0))
-    blocks = [np.zeros((1, d))]
-    if n_centers > 0:
-        blocks.append(scale * rng_c.standard_normal((n_centers, d)))
     eye = np.eye(d)
-    blocks.append(scale * np.concatenate([eye, -eye], axis=0))
-    centers = np.concatenate(blocks, axis=0)
+    centers = np.concatenate([np.zeros((1, d)),
+                              scale * rng_c.standard_normal((n_centers, d)),
+                              scale * eye, -scale * eye], axis=0)
 
     best_val, best_center = -1.0, None
     for t in centers:
@@ -248,16 +255,12 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
     the exact 1-D KS statistic on the projections.  Sign flips of a
     direction leave the KS value unchanged, so only +axes are included.
     """
-    if sa.dim != sb.dim:
-        raise ValueError(f"dimension mismatch: {sa.dim} != {sb.dim}")
+    _check_search(sa, sb, "n_dirs", n_dirs, n_boot)
     d = sa.dim
     rng_c = np.random.default_rng(substream(seed, "delta_H:dirs", 0))
-    blocks = []
-    if n_dirs > 0:
-        g = rng_c.standard_normal((n_dirs, d))
-        blocks.append(g / np.linalg.norm(g, axis=1, keepdims=True))
-    blocks.append(np.eye(d))
-    dirs = np.concatenate(blocks, axis=0)
+    g = rng_c.standard_normal((n_dirs, d))
+    dirs = np.concatenate([g / np.linalg.norm(g, axis=1, keepdims=True),
+                           np.eye(d)], axis=0)
 
     proj_a = sa.data @ dirs.T
     proj_b = sb.data @ dirs.T
@@ -288,6 +291,10 @@ def same_law_threshold(d: int, n: int, estimator: str = "ball",
     """
     if estimator not in ("ball", "halfspace"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n_null < 1:
+        raise ValueError(f"n_null must be >= 1, got {n_null}")
     vals = np.empty(n_null)
     for run in range(n_null):
         rng = np.random.default_rng(substream(seed, f"null:{estimator}", run))
@@ -335,11 +342,7 @@ class ScalingFit:
     slope: float
     stderr: float
     d_list: tuple[int, ...]
-    n: int
-    reps: int
     median_sq: tuple[float, ...]
-    median_abs: tuple[float, ...]
-    seed: int
 
 
 def portnoy_scaling_experiment(d_list, n: int, reps: int,
@@ -363,7 +366,7 @@ def portnoy_scaling_experiment(d_list, n: int, reps: int,
     if reps < 30:
         raise ValueError("reps must be >= 30 for a usable median")
 
-    med_sq, med_abs = [], []
+    med_sq = []
     for idx, d in enumerate(d_list):
         rng = np.random.default_rng(substream(seed, "portnoy_scaling", idx))
         u = rng.standard_normal((reps, n))
@@ -372,7 +375,6 @@ def portnoy_scaling_experiment(d_list, n: int, reps: int,
         z2 = np.sum(z * z, axis=1)
         rem = z2 * (sigma2_u - 1.0)
         med_sq.append(float(np.median(rem ** 2)))
-        med_abs.append(float(np.median(np.abs(rem))))
 
     x = np.log(np.asarray(d_list, dtype=float))
     y = np.log(np.asarray(med_sq))
@@ -384,6 +386,5 @@ def portnoy_scaling_experiment(d_list, n: int, reps: int,
         stderr = float(math.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
     else:
         stderr = 0.0
-    return ScalingFit(slope=slope, stderr=stderr, d_list=d_list, n=n,
-                      reps=reps, median_sq=tuple(med_sq),
-                      median_abs=tuple(med_abs), seed=seed)
+    return ScalingFit(slope=slope, stderr=stderr, d_list=d_list,
+                      median_sq=tuple(med_sq))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,22 +80,28 @@ class InfeasibleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# admissible (K, M, a, b) tuples behind the published smoothing constants,
+# checked by verify_constants_constraint; M is the constant for order K
+CONSTANT_TUPLES = ((3, 54.1, 27.46, 14.0),
+                   (4, 9.5, 6.33, 8.5),
+                   (6, 2.9, 2.07, 8.5))
+
+
 @dataclass(frozen=True)
 class ConstantsLedger:
     """Absolute constants entering the bounds.
 
-    ``m3/m4/m6`` are the smoothing-inequality constants for matching orders
-    K = 3, 4, 6.  The multipliers ``c_ell2`` (anti-concentration) and
-    ``c_phi4/c_phi6`` (mollifier derivatives) are not computable from the
-    results used here; they are known to be ≥ 1 and default to 1, so the
-    derived constants sit at their stated lower values
-    (c_b4 = 9.5, c_b6 = 2.9).  The half-space bounds use the same fourth-order
+    ``m4/m6`` are the smoothing-inequality constants for matching orders
+    K = 4, 6, from :data:`CONSTANT_TUPLES`.  The multipliers ``c_ell2``
+    (anti-concentration) and ``c_phi4/c_phi6`` (mollifier derivatives) are
+    not computable from the results used here; they are known to be ≥ 1 and
+    default to 1, so the derived constants sit at their stated lower values
+    (c_b4 = m4, c_b6 = m6).  The half-space bounds use the same fourth-order
     constant and report it as ``c_h4``.  Override via :meth:`with_overrides`.
     """
 
-    m3: float = 54.1
-    m4: float = 9.5
-    m6: float = 2.9
+    m4: float = CONSTANT_TUPLES[1][1]
+    m6: float = CONSTANT_TUPLES[2][1]
     c_ell2: float = 1.0
     c_phi4: float = 1.0
     c_phi6: float = 1.0
@@ -104,7 +110,7 @@ class ConstantsLedger:
         for name in ("c_ell2", "c_phi4", "c_phi6"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
-        if self.c_b4 < 9.5 or self.c_b6 < 2.9:
+        if self.c_b4 < CONSTANT_TUPLES[1][1] or self.c_b6 < CONSTANT_TUPLES[2][1]:
             raise ValueError("derived constants fell below their lower values")
 
     @property
@@ -116,9 +122,10 @@ class ConstantsLedger:
         return self.m6 * self.c_ell2 * self.c_phi6
 
     def with_overrides(self, **kwargs) -> "ConstantsLedger":
-        current = asdict(self)
-        current.update(kwargs)
-        return ConstantsLedger(**current)
+        unknown = sorted(set(kwargs) - set(asdict(self)))
+        if unknown:
+            raise ValueError(f"unknown ledger constants: {', '.join(unknown)}")
+        return replace(self, **kwargs)
 
 
 def verify_constants_constraint(K: int, M: float, a: float, b: float):

@@ -1,18 +1,19 @@
 """Benchmark distributions, the two-point mixing law and the moment-matched
 smoothing construction.
 
-Reproducibility contract: every sampler is a pure function of
-``(parameters, n, seed)``.  Derived randomness uses :func:`substream`, which
-splits a root seed into named, order-independent child streams, so parallel
-replicates never share or race a generator.
+The benchmark families of :data:`FAMILIES` are fixed standardized laws:
+centered, with covariance I_d.  Reproducibility contract: every sampler is a
+pure function of ``(d, n, seed)``.  Derived randomness uses
+:func:`substream`, which splits a root seed into named, order-independent
+child streams, so parallel replicates never share or race a generator.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -157,71 +158,41 @@ def sample_exponential_centered(d: int, n: int, seed: int) -> Sample:
                   label="exponential_centered")
 
 
-FAMILIES = ("gaussian", "portnoy_mixed", "symmetric_L", "laplace_product",
-            "exponential_centered", "user_csv")
+# each benchmark family's sampler (d, n, seed) -> Sample
+FAMILIES: dict[str, Callable[[int, int, int], Sample]] = {
+    "gaussian": lambda d, n, seed: sample_gaussian(np.eye(d), n, seed),
+    "portnoy_mixed": sample_portnoy,
+    "symmetric_L": sample_symmetric_L,
+    "laplace_product": sample_laplace_product,
+    "exponential_centered": sample_exponential_centered,
+}
 
 
 @dataclass
 class DistributionSpec:
-    """Description of a benchmark distribution.
-
-    ``params`` is family-specific: ``{"cov": [[...]]}`` (optional, default
-    I_d) and ``{"mean": [...]}`` for ``gaussian``; ``{"path": ...}`` for
-    ``user_csv``; empty for the rest.
-    """
+    """One of the :data:`FAMILIES` in dimension ``d``; ``seed`` is the
+    default seed of :meth:`sample`."""
 
     family: str
     d: int
-    params: dict = field(default_factory=dict)
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of "
-                             f"{FAMILIES}")
+                             f"{tuple(FAMILIES)}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.family == "gaussian" and "cov" in self.params:
-            cov = np.asarray(self.params["cov"], dtype=float)
-            if cov.shape != (self.d, self.d):
-                raise ValueError("cov shape does not match d")
-            SpdMatrix(cov)  # validates SPD
-        if self.family == "user_csv" and "path" not in self.params:
-            raise ValueError("user_csv requires params['path']")
 
-    # known population covariance, or None when only data is available
-    def covariance(self) -> Optional[np.ndarray]:
-        if self.family == "gaussian":
-            cov = self.params.get("cov")
-            return np.asarray(cov, dtype=float) if cov is not None else np.eye(self.d)
-        if self.family == "user_csv":
-            return None
+    def covariance(self) -> np.ndarray:
+        """Population covariance: every family is standardized to I_d."""
         return np.eye(self.d)
 
     def sample(self, n: int, seed: Optional[int] = None) -> Sample:
         s = seed if seed is not None else self.seed
         if s is None:
             raise ValueError("no seed: set DistributionSpec.seed or pass one")
-        if self.family == "gaussian":
-            cov = self.covariance()
-            return sample_gaussian(cov, n, s, mean=self.params.get("mean"))
-        if self.family == "portnoy_mixed":
-            return sample_portnoy(self.d, n, s)
-        if self.family == "symmetric_L":
-            return sample_symmetric_L(self.d, n, s)
-        if self.family == "laplace_product":
-            return sample_laplace_product(self.d, n, s)
-        if self.family == "exponential_centered":
-            return sample_exponential_centered(self.d, n, s)
-        # user_csv: n rows resampled (or all rows if n matches)
-        data = Sample.from_csv(self.params["path"], label="user_csv")
-        if data.dim != self.d:
-            raise ValueError(f"CSV has dim {data.dim}, spec says {self.d}")
-        if n == data.n:
-            return data
-        rng = np.random.default_rng(s)
-        idx = rng.integers(0, data.n, size=n)
-        return Sample(data.data[idx], seed=s, label="user_csv")
+        return FAMILIES[self.family](self.d, n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +201,7 @@ class DistributionSpec:
 
 
 def construct_Y(x: Sample, beta: float, seed: int,
-                spec: Optional[DistributionSpec] = None,
-                sigma: Optional[np.ndarray] = None) -> Sample:
+                spec: Optional[DistributionSpec] = None) -> Sample:
     """Smoothing construction Y_i = Z_i + α_i X̃_i matching moments 1–3 of X.
 
     Z_i ∼ 𝒩(0, β²·Var X) and α_i follows :func:`alpha_law`, independent of
@@ -244,17 +214,14 @@ def construct_Y(x: Sample, beta: float, seed: int,
     (parametric case).  For raw data, rows are resampled with replacement
     from the second half of ``x`` only — a disjoint half-split — so that X̃
     does not reuse the rows a caller will typically keep for estimation.
-    ``sigma`` overrides the covariance used for Z (defaults to ``spec``'s
-    population covariance when known, else the sample covariance of ``x``).
+    Var X is ``spec``'s population covariance I_d, else the sample
+    covariance of ``x``.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     n, d = x.n, x.dim
-    if sigma is None:
-        sigma = spec.covariance() if spec is not None else None
-    if sigma is None:
-        sigma = x.covariance()
-    spd = SpdMatrix(np.asarray(sigma))  # raises if not SPD
+    # raises if not SPD
+    spd = SpdMatrix(spec.covariance() if spec is not None else x.covariance())
     if spd.dim != d:
         raise ValueError("covariance dimension does not match the sample")
 
@@ -265,7 +232,7 @@ def construct_Y(x: Sample, beta: float, seed: int,
 
     z = rng_z.standard_normal((n, d)) @ (beta * spd.sqrt())
     alpha = law.sample(rng_alpha, n)
-    if spec is not None and spec.family != "user_csv":
+    if spec is not None:
         copy_seed = int(rng_copy.integers(0, 2 ** 63 - 1))
         x_tilde = spec.sample(n, seed=copy_seed).data
     else:

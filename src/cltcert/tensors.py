@@ -1,7 +1,7 @@
 """Dense moment tensors, SPD covariance wrappers and sample containers.
 
-The quantities consumed by the bound engine are low-order moment tensors
-E[X^{⊗k}] (k up to 4) together with two norms:
+The quantities consumed by the bound engine are the third and fourth moment
+tensors E[X^{⊗k}] (k = 3, 4) together with two norms:
 
 * Frobenius norm ‖A‖_F,
 * symmetric operator norm ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩|.
@@ -284,11 +284,9 @@ POWER_SEED = 0
 
 
 def _kron_rows(x: np.ndarray, power: int) -> np.ndarray:
-    """Row-wise Kronecker power: row i is x_i^{⊗power} flattened in C order,
-    so that it pairs with a C-order unfolding of a dense tensor (a column of
-    ones for power 0)."""
-    if power == 0:
-        return np.ones((x.shape[0], 1))
+    """Row-wise Kronecker power (power ≥ 1): row i is x_i^{⊗power} flattened
+    in C order, so that it pairs with a C-order unfolding of a dense
+    tensor."""
     out = x
     for _ in range(power - 1):
         out = (out[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
@@ -303,17 +301,21 @@ def _unfolded_power_sum(block: np.ndarray, a: int, b: int) -> np.ndarray:
     return left.T @ right
 
 
+def _check_order(order: int) -> None:
+    if order not in (3, 4):
+        raise ValueError(f"order must be 3 or 4, got {order}")
+
+
 def empirical_moment(sample: Sample, order: int) -> MomentTensor:
     """Average outer power n^{-1} Σ_i x_i^{⊗k} as a dense tensor.
 
     Writing k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is
     the GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks of at
     most ``MOMENT_CHUNK_ROWS`` rows whose Kronecker blocks stay within
-    ``KRON_CHUNK_CELLS`` cells (order 1 is a column sum).  Orders 1–4 are
-    accepted: no bound reads a higher moment.
+    ``KRON_CHUNK_CELLS`` cells.  Only orders 3 and 4 are accepted: they are
+    the moments the bounds read.
     """
-    if order < 1 or order > 4:
-        raise ValueError(f"order must be in 1..4, got {order}")
+    _check_order(order)
     _check_dense_size(order, sample.dim)
     x = sample.data
     n, d = x.shape
@@ -411,17 +413,10 @@ def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
     once it converges.  The result is always a certified lower bound on the
     true norm; ``converged`` reports whether every start reached the
     fixed-point tolerance, and ``iterations`` sums the steps of all starts.
+    Only orders 3 and 4 are accepted.
     """
     k, d, data = tensor.order, tensor.dim, tensor.data
-    if k == 1:
-        val = float(np.linalg.norm(data))
-        return OperatorNormResult(val, True, 0)
-    if k == 2:
-        # exact via symmetric eigendecomposition
-        sym = 0.5 * (data + data.T)
-        eig = np.linalg.eigvalsh(sym)
-        return OperatorNormResult(float(np.abs(eig).max()), True, 0)
-
+    _check_order(k)
     starts = _power_starts(d)
     # monotonicity shift: |f''| along the sphere is bounded by k(k-1)·‖A‖_F,
     # so this shift convexifies the update for every start
@@ -440,11 +435,8 @@ def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
                               bool(converged.all()), int(iters.sum()))
 
 
-def whiten(sample: Sample, sigma: Optional[SpdMatrix] = None) -> Sample:
-    """Rows x_i ↦ Σ^{-1/2} x_i.  With no Σ supplied, the sample's own biased
-    covariance is used (and must be well conditioned)."""
-    if sigma is None:
-        sigma = SpdMatrix(sample.covariance())
+def whiten(sample: Sample, sigma: SpdMatrix) -> Sample:
+    """Rows x_i ↦ Σ^{-1/2} x_i (Σ must be well conditioned)."""
     if sigma.dim != sample.dim:
         raise ValueError("covariance dimension does not match the sample")
     w = sample.data @ sigma.inv_sqrt()

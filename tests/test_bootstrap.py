@@ -15,8 +15,6 @@ from cltcert.bootstrap import (
     bootstrap_score_test,
     chi2_quantile,
     elliptical_coverage_experiment,
-    exponential_rate_scores,
-    gaussian_location_scores,
     rao_score_test,
     score_level_experiment,
 )
@@ -251,25 +249,6 @@ def test_rao_validation_and_certificate():
     assert res.certificate.theorem == "score_chi2_level"
 
 
-def test_demo_score_generators():
-    data = sample_gaussian(np.eye(2), 5000, seed=14, mean=[2.0, -1.0])
-    s = gaussian_location_scores(data, [2.0, -1.0])
-    assert np.abs(s.mean()).max() < 0.1
-    with pytest.raises(ValueError):
-        gaussian_location_scores(data, [1.0])
-
-    rng = np.random.default_rng(15)
-    expo = Sample(rng.exponential(0.5, size=5000))
-    sc = exponential_rate_scores(expo, rate0=2.0)
-    assert abs(float(sc.mean()[0])) < 0.05
-    with pytest.raises(ValueError):
-        exponential_rate_scores(expo, rate0=0.0)
-    with pytest.raises(ValueError):
-        exponential_rate_scores(Sample(-np.ones((5, 1))), rate0=1.0)
-    with pytest.raises(ValueError):
-        exponential_rate_scores(sample_gaussian(np.eye(2), 10, seed=1), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # level / coverage experiments
 # ---------------------------------------------------------------------------
@@ -338,22 +317,17 @@ def test_coverage_certificate_feasible_and_infeasible(monkeypatch):
 
 
 def test_coverage_nontrivial_mean_and_rotation_stability():
-    spec = DistributionSpec(family="gaussian", d=2, seed=0,
-                            params={"mean": [5.0, -3.0], "cov": [[1.0, 0.0],
-                                                                 [0.0, 4.0]]})
-    res = elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=150,
-                                         B=250, trials=200, seed=3)
+    # N(0, I) is rotation invariant, so the ellipsoids of W and of its
+    # rotation qWqᵀ have the same coverage; only Monte Carlo noise differs
+    spec = DistributionSpec(family="gaussian", d=2, seed=0)
+    w = np.diag([1.0, 4.0])
+    res = elliptical_coverage_experiment(spec, w, alpha=0.1, n=150, B=250,
+                                         trials=200, seed=3)
     assert 0.80 <= res.coverage <= 0.98
 
     theta = 0.83
     q = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]])
-    cov = np.array([[1.0, 0.0], [0.0, 4.0]])
-    spec_rot = DistributionSpec(
-        family="gaussian", d=2, seed=0,
-        params={"mean": list(q @ np.array([5.0, -3.0])),
-                "cov": (q @ cov @ q.T).tolist()})
-    res_rot = elliptical_coverage_experiment(spec_rot, q @ np.eye(2) @ q.T,
-                                             alpha=0.1, n=150, B=250,
-                                             trials=200, seed=3)
+    res_rot = elliptical_coverage_experiment(spec, q @ w @ q.T, alpha=0.1,
+                                             n=150, B=250, trials=200, seed=3)
     assert abs(res.coverage - res_rot.coverage) <= 0.08

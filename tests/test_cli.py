@@ -258,6 +258,10 @@ def test_bound_ledger_overrides_change_total(tmp_path, capsys):
     _, out1, _ = run_cli(base, capsys)
     _, out2, _ = run_cli(base + ["--ledger-overrides", '{"m4": 12.0}'], capsys)
     assert json.loads(out2)["total"] > json.loads(out1)["total"]
+    code, out, err = run_cli(base + ["--ledger-overrides", '{"m3": 54.1}'],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert "configuration error: unknown ledger constants: m3" in err
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +311,24 @@ def test_distance_requires_seed(gaussian_csvs):
         cli.main(["distance", "--kind", "ball", "--sample-a", a,
                   "--sample-b", b])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    *(["experiment", "--name", name, "--seed", "1", "--n", "0"]
+      for name in ("coverage", "score-level", "same-law-ball",
+                   "same-law-halfspace")),
+    *(["experiment", "--name", name, "--seed", "1", "--null-runs", "0"]
+      for name in ("same-law-ball", "same-law-halfspace")),
+    *(["distance", "--kind", kind, "--sample-a", "A", "--sample-b", "B",
+       "--seed", "1", flag, value]
+      for kind in ("ball", "halfspace")
+      for flag, value in (("--centers", "-3"), ("--boot", "-2"))),
+], ids=lambda argv: "-".join(argv[2:3] + argv[-2:]))
+def test_invalid_sizes_exit_2(argv, gaussian_csvs, capsys):
+    paths = dict(zip("AB", gaussian_csvs))
+    code, out, err = run_cli([paths.get(v, v) for v in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from cltcert.samplers import sample_gaussian
 from cltcert.tensors import (
     MomentTensor,
     Sample,
+    SpdMatrix,
     empirical_moment,
     operator_norm,
     whiten,
@@ -63,6 +64,9 @@ def test_ledger_defaults_and_overrides():
         ConstantsLedger(c_ell2=0.5)
     with pytest.raises(ValueError):
         ConstantsLedger(m4=5.0)  # would push c_b4 below its floor
+    # no bound reads m3, so it is not a ledger constant
+    with pytest.raises(ValueError, match="unknown ledger constants: m3"):
+        led.with_overrides(m3=54.1)
 
 
 def test_constants_constraint_admissible_triples():
@@ -605,7 +609,9 @@ def test_frobenius_envelope_is_never_above_the_others():
                for d in (2, 3, 5, 8) for _ in range(5)]
     # the whitened third moment of the golden file's X sample
     x = np.random.default_rng(20).exponential(size=(3000, 3)) - 1.0
-    tensors.append(empirical_moment(whiten(Sample(x - x.mean(axis=0))), 3))
+    xc = Sample(x - x.mean(axis=0))
+    w = whiten(xc, SpdMatrix(xc.covariance()))
+    tensors.append(empirical_moment(w, 3))
     for t in tensors:
         a = t.data
         frob = math.sqrt(float(np.sum(a * a)))

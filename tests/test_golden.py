@@ -18,6 +18,12 @@ seeded samples (the 1-D pair on a grid of quarter steps, so that values tie
 within and across samples), compared with ``golden/distance.txt`` in the
 same way; the cells of a CSV row are compared as numbers where they parse as
 one.  Radii and projections go through BLAS too.
+
+``experiment``, ``bootstrap`` and ``verify-constants``: the coverage,
+normal-sweep and same-law sweeps on each of the five families, the
+score-level, portnoy and anticoncentration sweeps, both bootstrap tests with
+σ² = 1 and the constant tuples, at small sizes, compared with
+``golden/experiment.txt`` in the same way.  Resample means go through BLAS.
 """
 
 import contextlib
@@ -35,6 +41,7 @@ from cltcert.tensors import Sample
 GOLDEN = Path(__file__).parent / "golden" / "bound_moments.txt"
 GOLDEN_FROM_SAMPLE = Path(__file__).parent / "golden" / "bound_from_sample.txt"
 GOLDEN_DISTANCE = Path(__file__).parent / "golden" / "distance.txt"
+GOLDEN_EXPERIMENT = Path(__file__).parent / "golden" / "experiment.txt"
 
 SUMMARY = {
     "d": 3, "n": 10 ** 8,
@@ -167,6 +174,65 @@ def test_distance_matches_golden_output(tmp_path):
     want = GOLDEN_DISTANCE.read_text().splitlines()
     got = distance_outputs(tmp_path)
     assert len(got) == len(want) == 8
+    for line, (g, w) in enumerate(zip(got, want), 1):
+        parse = json.loads if w.startswith("{") else _cells
+        assert_same_json(parse(g), parse(w), f"line {line}")
+
+
+FAMILIES = ("gaussian", "portnoy_mixed", "symmetric_L", "laplace_product",
+            "exponential_centered")
+
+
+def cli_lines(runs) -> list:
+    """Stdout lines of ``cli.main`` over ``runs``; each run must exit 0."""
+    out = []
+    for argv in runs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        assert code == 0, argv
+        out.extend(buf.getvalue().splitlines())
+    return out
+
+
+def experiment_outputs(tmp_path) -> list:
+    """Stdout lines of every experiment sweep, of both bootstrap tests and
+    of ``verify-constants``."""
+    data = tmp_path / "data.csv"
+    Sample(np.random.default_rng(40).standard_normal((20000, 2))).to_csv(
+        str(data))
+    base = ["--seed", "6", "--d", "2"]
+    runs = []
+    for family in FAMILIES:
+        runs.append(["experiment", "--name", "coverage", *base, "--family",
+                     family, "--n", "100", "--B", "200", "--trials", "200",
+                     "--sigma2", "1"])
+        runs.append(["experiment", "--name", "normal-sweep", *base,
+                     "--family", family, "--n-list", "64,128", "--blocks",
+                     "256", "--centers", "8", "--boot", "10"])
+        runs += [["experiment", "--name", name, *base, "--family", family,
+                  "--n", "300", "--null-runs", "10", "--calibration-n", "128",
+                  "--centers", "8", "--boot", "10"]
+                 for name in ("same-law-ball", "same-law-halfspace")]
+    runs += [
+        ["experiment", "--name", "score-level", *base, "--n", "100", "--B",
+         "200", "--trials", "20"],
+        ["experiment", "--name", "portnoy", "--seed", "6", "--d-list", "2,4",
+         "--n", "100", "--reps", "30"],
+        ["experiment", "--name", "anticoncentration", "--seed", "6",
+         "--d-list", "1,3"],
+    ]
+    runs += [["bootstrap", "--test", test, "--data", str(data), "--alpha",
+              "0.1", "--B", "200", "--seed", "6", "--sigma2", "1"]
+             for test in ("ball", "score")]
+    runs.append(["verify-constants"])
+    return cli_lines(runs)
+
+
+def test_experiment_matches_golden_output(tmp_path):
+    want = GOLDEN_EXPERIMENT.read_text().splitlines()
+    got = experiment_outputs(tmp_path)
+    assert len(got) == len(want) == 57
     for line, (g, w) in enumerate(zip(got, want), 1):
         parse = json.loads if w.startswith("{") else _cells
         assert_same_json(parse(g), parse(w), f"line {line}")

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from cltcert import cli
 from cltcert.samplers import (
+    FAMILIES,
     DistributionSpec,
     TwoPointLaw,
     alpha_law,
@@ -149,40 +151,29 @@ def test_samplers_are_bit_reproducible():
 # ---------------------------------------------------------------------------
 
 def test_distribution_spec_round_trip_and_dispatch():
-    spec = DistributionSpec("gaussian", 2, {"cov": [[2.0, 0.3], [0.3, 1.0]]}, seed=11)
-    spec2 = DistributionSpec(spec.family, spec.d, spec.params, spec.seed)
-    assert spec2.family == "gaussian" and spec2.d == 2 and spec2.seed == 11
-    s1, s2 = spec.sample(500), spec2.sample(500)
-    np.testing.assert_array_equal(s1.data, s2.data)
-    for family in ("portnoy_mixed", "symmetric_L", "laplace_product",
-                   "exponential_centered"):
-        s = DistributionSpec(family, 3, seed=12).sample(64)
+    # the CLI offers exactly the table's families, each standardized to I_d
+    _, commands = cli._build_parser()
+    family = next(a for p in commands for a in p.arguments
+                  if a.dest == "family")
+    assert family.choices == tuple(FAMILIES)
+    for name, sampler in FAMILIES.items():
+        spec = DistributionSpec(name, 3, seed=12)
+        spec2 = DistributionSpec(spec.family, spec.d, spec.seed)
+        s = spec.sample(64)
         assert s.data.shape == (64, 3)
-        np.testing.assert_allclose(DistributionSpec(family, 3, seed=0).covariance(),
-                                   np.eye(3))
+        np.testing.assert_array_equal(s.data, spec2.sample(64).data)
+        np.testing.assert_array_equal(s.data, sampler(3, 64, 12).data)
+        np.testing.assert_array_equal(spec.covariance(), np.eye(3))
 
 
 def test_distribution_spec_validation():
-    with pytest.raises(ValueError):
-        DistributionSpec("cauchy_product", 2)
-    with pytest.raises(ValueError):
-        DistributionSpec("gaussian", 2, {"cov": [[1.0, 2.0], [2.0, 1.0]]})  # not PD
-    with pytest.raises(ValueError):
-        DistributionSpec("user_csv", 2)  # no path
+    for family in ("cauchy_product", "user_csv"):
+        with pytest.raises(ValueError, match="unknown family"):
+            DistributionSpec(family, 2)
     with pytest.raises(ValueError):
         DistributionSpec("gaussian", 0)
-
-
-def test_user_csv_spec_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    raw = Sample(rng.standard_normal((50, 2)))
-    path = tmp_path / "data.csv"
-    raw.to_csv(str(path))
-    spec = DistributionSpec("user_csv", 2, {"path": str(path)}, seed=1)
-    full = spec.sample(50)
-    np.testing.assert_array_equal(full.data, raw.data)
-    boot = spec.sample(200)
-    assert boot.data.shape == (200, 2)
+    with pytest.raises(ValueError, match="no seed"):
+        DistributionSpec("gaussian", 2).sample(10)
 
 
 # ---------------------------------------------------------------------------
