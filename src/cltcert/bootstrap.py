@@ -27,7 +27,7 @@ from .engine import (
     score2_bound,
     score_summary,
 )
-from .samplers import DistributionSpec, substream
+from .samplers import DistributionSpec, _resample_counts, substream
 from .tensors import Sample, SpdMatrix
 
 __all__ = [
@@ -46,8 +46,8 @@ __all__ = [
 
 MIN_REPLICATES = 200
 
-# count cells (replicates × n) _resample_means draws at once, as index draws
-# counted with bincount: 32 MB of int64
+# count cells (replicates × n) _resample_means draws at once through
+# samplers._resample_counts: 32 MB of int64
 RESAMPLE_CHUNK_CELLS = 2 ** 22
 
 # least number of pilot rows the coverage certificate's moments come from
@@ -59,6 +59,18 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
 
 
+def _check_resampling(alpha: float, B: int) -> None:
+    _check_alpha(alpha)
+    if B < MIN_REPLICATES:
+        raise ValueError(f"B must be >= {MIN_REPLICATES}, got {B}")
+
+
+def _rate(hits: int, trials: int) -> tuple[float, float]:
+    """Hit rate over ``trials`` and its binomial standard error."""
+    rate = hits / trials
+    return rate, math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
+
+
 def _order_stat_quantile(replicates: np.ndarray, alpha: float) -> float:
     """Empirical (1−α)-quantile, inf-form: the ⌈(1−α)B⌉-th order statistic."""
     b = replicates.size
@@ -67,21 +79,13 @@ def _order_stat_quantile(replicates: np.ndarray, alpha: float) -> float:
     return float(np.sort(replicates)[k - 1])
 
 
-def _resample_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m×n counts of ``m`` Efron resamples: row r's n uniform index draws
-    are shifted by r·n, so one bincount over m·n cells counts every row."""
-    idx = rng.integers(0, n, size=(m, n))
-    idx += np.arange(0, m * n, n)[:, None]
-    return np.bincount(idx.ravel(), minlength=m * n).reshape(m, n)
-
-
 def _resample_means(centered: np.ndarray, b: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``b`` Efron resample means of the centered rows (conditional mean 0,
-    covariance Σ̂/n), from index draws counted with bincount in row chunks
-    of at most ``RESAMPLE_CHUNK_CELLS`` cells: the same draws as one b×n
-    draw.  Each chunk's counts are freed after its product, before the
-    next chunk is drawn."""
+    covariance Σ̂/n), from ``_resample_counts`` in row chunks of at most
+    ``RESAMPLE_CHUNK_CELLS`` cells: the same draws as one b×n draw.  Each
+    chunk's counts are freed after its product, before the next chunk is
+    drawn."""
     n = centered.shape[0]
     step = max(1, RESAMPLE_CHUNK_CELLS // n)
     return np.concatenate([_resample_counts(n, min(step, b - i), rng)
@@ -121,14 +125,12 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     With σ² supplied, attaches the finite-sample accuracy certificate for
     the bootstrap ball approximation on the W^{1/2}-transformed data.
     """
-    _check_alpha(alpha)
-    if B < MIN_REPLICATES:
-        raise ValueError(f"B must be >= {MIN_REPLICATES}, got {B}")
+    _check_resampling(alpha, B)
     w_spd = SpdMatrix.coerce(w)
     if w_spd.dim != s.dim:
         raise ValueError("W dimension does not match the sample")
     centered = s.data - s.mean()
-    rng = np.random.default_rng(substream(seed, "ball_quantile", 0))
+    rng = substream(seed, "ball_quantile", 0)
     means = _resample_means(centered, B, rng)
     stats = math.sqrt(s.n) * np.linalg.norm(means @ w_spd.sqrt(), axis=1)
     quantile = _order_stat_quantile(stats, alpha)
@@ -162,12 +164,10 @@ def bootstrap_score_test(scores: Sample, alpha: float, B: int = 2000,
     centered scores.  When σ_s² is supplied the level certificate is
     attached (or its infeasibility is reported without aborting the test).
     """
-    _check_alpha(alpha)
-    if B < MIN_REPLICATES:
-        raise ValueError(f"B must be >= {MIN_REPLICATES}, got {B}")
+    _check_resampling(alpha, B)
     if scores.n < 2:
         raise ValueError("need at least 2 score rows")
-    rng = np.random.default_rng(substream(seed, "score_boot", 0))
+    rng = substream(seed, "score_boot", 0)
     statistic, threshold = _score_bootstrap(scores.data, B, alpha, rng)
 
     certificate, cert_error = None, None
@@ -233,20 +233,18 @@ def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
                            seed: int = 0) -> LevelResult:
     """Empirical level of the bootstrap score test under the null, on
     i.i.d. standard Gaussian scores (a σ_s-free run)."""
-    _check_alpha(alpha)
+    _check_resampling(alpha, B)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rejections = 0
     for trial in range(trials):
-        rng = np.random.default_rng(substream(seed, "score_level", trial))
+        rng = substream(seed, "score_level", trial)
         rows = rng.standard_normal((n, d))
         statistic, threshold = _score_bootstrap(rows, B, alpha, rng)
-        if statistic > threshold:
-            rejections += 1
-    level = rejections / trials
-    stderr = math.sqrt(max(level * (1.0 - level), 1e-12) / trials)
+        rejections += statistic > threshold
+    level, stderr = _rate(rejections, trials)
     return LevelResult(level=level, stderr=stderr)
 
 
@@ -268,7 +266,7 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
     ``max(n, COVERAGE_PILOT_N)`` rows; an infeasible certificate condition is
     reported in ``certificate_error`` and does not abort the empirical run.
     """
-    _check_alpha(alpha)
+    _check_resampling(alpha, B)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 200:
@@ -280,7 +278,7 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
 
     hits = 0
     for trial in range(trials):
-        rng = np.random.default_rng(substream(seed, "coverage", trial))
+        rng = substream(seed, "coverage", trial)
         data = spec.sample(n, seed=int(rng.integers(0, 2 ** 63 - 1))).data
         xbar = data.mean(axis=0)
         means = _resample_means(data - xbar, B, rng)
@@ -288,15 +286,13 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
         q_star = _order_stat_quantile(stats, alpha)
         # every family has mean 0
         observed = math.sqrt(n) * float(np.linalg.norm(w_half @ xbar))
-        if observed <= q_star:
-            hits += 1
-    coverage = hits / trials
-    stderr = math.sqrt(max(coverage * (1.0 - coverage), 1e-12) / trials)
+        hits += observed <= q_star
+    coverage, stderr = _rate(hits, trials)
 
     certificate, cert_error = None, None
     if sigma2 is not None:
         try:
-            pilot_rng = np.random.default_rng(substream(seed, "coverage_pilot", 0))
+            pilot_rng = substream(seed, "coverage_pilot", 0)
             pilot = spec.sample(max(n, COVERAGE_PILOT_N),
                                 seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
             ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix,

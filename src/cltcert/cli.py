@@ -148,7 +148,10 @@ def _bound_summary(args, theorem: Theorem) -> MomentSummary:
 def _cmd_bound(args) -> int:
     ledger = ConstantsLedger()
     if args.ledger_overrides:
-        ledger = ledger.with_overrides(**json.loads(args.ledger_overrides))
+        overrides = json.loads(args.ledger_overrides)
+        if not isinstance(overrides, dict):
+            raise ValueError("--ledger-overrides must be a JSON object")
+        ledger = ledger.with_overrides(**overrides)
     theorem = THEOREM_TABLE[args.theorem]
     ms = _bound_summary(args, theorem)
     if args.n is not None:
@@ -329,9 +332,12 @@ def _experiment_anticoncentration(args) -> list[str]:
 
 def _experiment_normal_sweep(args) -> list[str]:
     """Empirical ball distance to the matching Gaussian vs the certificate."""
+    n_list = [int(v) for v in args.n_list.split(",")]
+    if min(n_list) < 1 or args.blocks < 1:
+        raise ValueError("--n-list entries and --blocks must be >= 1")
     rows = []
     spec = DistributionSpec(family=args.family, d=args.d, seed=args.seed)
-    for n in (int(v) for v in args.n_list.split(",")):
+    for n in n_list:
         x = spec.sample(n, seed=args.seed)
         # empirical law of the normalized sum via independent block sums
         blocks = args.blocks

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .samplers import substream
+from .samplers import _resample_counts, substream
 from .tensors import Sample
 
 __all__ = [
@@ -64,14 +64,7 @@ class DistanceEstimate:
             raise ValueError("search_set descriptor must be non-empty")
 
     def to_json(self) -> str:
-        payload = {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_mc": self.n_mc,
-            "search_set": self.search_set,
-            "flags": list(self.flags),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +154,6 @@ def levy_distance_1d(a, b) -> float:
 # sup-over-balls / sup-over-half-spaces estimators
 # ---------------------------------------------------------------------------
 
-def _pooled_scale(sa: Sample, sb: Sample) -> float:
-    tr = 0.5 * (np.trace(sa.covariance()) + np.trace(sb.covariance()))
-    return math.sqrt(max(tr, 1e-300))
-
-
 def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
                       rng: np.random.Generator) -> float:
     """Standard deviation of the KS statistic over ``n_boot`` resamples
@@ -190,12 +178,25 @@ def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
     cum_b = np.zeros(nb + 1, dtype=np.int64)
     vals = np.empty(n_boot)
     for k in range(n_boot):
-        ia = rng.integers(0, na, na)
-        ib = rng.integers(0, nb, nb)
-        np.cumsum(np.bincount(ia, minlength=na)[a_order], out=cum_a[1:])
-        np.cumsum(np.bincount(ib, minlength=nb)[b_order], out=cum_b[1:])
+        np.cumsum(_resample_counts(na, 1, rng)[0, a_order], out=cum_a[1:])
+        np.cumsum(_resample_counts(nb, 1, rng)[0, b_order], out=cum_b[1:])
         vals[k] = np.abs(cum_a[rank_a] / na - cum_b[rank_b] / nb).max()
     return float(vals.std(ddof=1))
+
+
+def _sup_ks(sa: Sample, sb: Sample, pairs, n_boot: int,
+            rng: np.random.Generator, search_set: str) -> DistanceEstimate:
+    """Max of the exact 1-D KS statistic over the candidate ``(a, b)``
+    pairs, the first on a tie, with the bootstrap stderr at that pair."""
+    best_val, best = -1.0, None
+    for a, b in pairs:
+        val = ks_two_sample_1d(a, b)
+        if val > best_val:
+            best_val, best = val, (a, b)
+    return DistanceEstimate(value=best_val,
+                            stderr=_bootstrap_stderr(*best, n_boot, rng),
+                            n_mc=min(sa.n, sb.n), search_set=search_set,
+                            flags=("lower_estimate",))
 
 
 def _check_search(sa: Sample, sb: Sample, name: str, n_random: int,
@@ -222,29 +223,17 @@ def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
     """
     _check_search(sa, sb, "n_centers", n_centers, n_boot)
     d = sa.dim
-    scale = _pooled_scale(sa, sb)
-    rng_c = np.random.default_rng(substream(seed, "delta_B:centers", 0))
-    eye = np.eye(d)
-    centers = np.concatenate([np.zeros((1, d)),
-                              scale * rng_c.standard_normal((n_centers, d)),
-                              scale * eye, -scale * eye], axis=0)
-
-    best_val, best_center = -1.0, None
-    for t in centers:
-        ra = np.linalg.norm(sa.data - t, axis=1)
-        rb = np.linalg.norm(sb.data - t, axis=1)
-        val = ks_two_sample_1d(ra, rb)
-        if val > best_val:
-            best_val, best_center = val, t
-    rng_b = np.random.default_rng(substream(seed, "delta_B:stderr", 0))
-    ra = np.linalg.norm(sa.data - best_center, axis=1)
-    rb = np.linalg.norm(sb.data - best_center, axis=1)
-    stderr = _bootstrap_stderr(ra, rb, n_boot, rng_b)
-    descr = (f"balls:origin+{n_centers}gaussian"
-             f"+{2 * d}axes@scale=trace^0.5")
-    return DistanceEstimate(value=best_val, stderr=stderr,
-                            n_mc=min(sa.n, sb.n), search_set=descr,
-                            flags=("lower_estimate",))
+    tr = 0.5 * (np.trace(sa.covariance()) + np.trace(sb.covariance()))
+    scale = math.sqrt(max(tr, 1e-300))
+    g = substream(seed, "delta_B:centers", 0).standard_normal((n_centers, d))
+    axes = scale * np.eye(d)
+    centers = np.concatenate([np.zeros((1, d)), scale * g, axes, -axes])
+    radii = ((np.linalg.norm(sa.data - t, axis=1),
+              np.linalg.norm(sb.data - t, axis=1)) for t in centers)
+    return _sup_ks(sa, sb, radii, n_boot,
+                   substream(seed, "delta_B:stderr", 0),
+                   f"balls:origin+{n_centers}gaussian"
+                   f"+{2 * d}axes@scale=trace^0.5")
 
 
 def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
@@ -257,25 +246,13 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
     """
     _check_search(sa, sb, "n_dirs", n_dirs, n_boot)
     d = sa.dim
-    rng_c = np.random.default_rng(substream(seed, "delta_H:dirs", 0))
-    g = rng_c.standard_normal((n_dirs, d))
+    g = substream(seed, "delta_H:dirs", 0).standard_normal((n_dirs, d))
     dirs = np.concatenate([g / np.linalg.norm(g, axis=1, keepdims=True),
                            np.eye(d)], axis=0)
-
-    proj_a = sa.data @ dirs.T
-    proj_b = sb.data @ dirs.T
-    best_val, best_j = -1.0, 0
-    for j in range(dirs.shape[0]):
-        val = ks_two_sample_1d(proj_a[:, j], proj_b[:, j])
-        if val > best_val:
-            best_val, best_j = val, j
-    rng_b = np.random.default_rng(substream(seed, "delta_H:stderr", 0))
-    stderr = _bootstrap_stderr(proj_a[:, best_j], proj_b[:, best_j],
-                               n_boot, rng_b)
-    descr = f"halfspaces:{n_dirs}sphere+{d}axes"
-    return DistanceEstimate(value=best_val, stderr=stderr,
-                            n_mc=min(sa.n, sb.n), search_set=descr,
-                            flags=("lower_estimate",))
+    columns = zip((sa.data @ dirs.T).T, (sb.data @ dirs.T).T)
+    return _sup_ks(sa, sb, columns, n_boot,
+                   substream(seed, "delta_H:stderr", 0),
+                   f"halfspaces:{n_dirs}sphere+{d}axes")
 
 
 def same_law_threshold(d: int, n: int, estimator: str = "ball",
@@ -295,9 +272,11 @@ def same_law_threshold(d: int, n: int, estimator: str = "ball",
         raise ValueError(f"n must be >= 1, got {n}")
     if n_null < 1:
         raise ValueError(f"n_null must be >= 1, got {n_null}")
+    if n_cal < 1:
+        raise ValueError(f"n_cal must be >= 1, got {n_cal}")
     vals = np.empty(n_null)
     for run in range(n_null):
-        rng = np.random.default_rng(substream(seed, f"null:{estimator}", run))
+        rng = substream(seed, f"null:{estimator}", run)
         a = Sample(rng.standard_normal((n_cal, d)), seed=seed, label="null_a")
         b = Sample(rng.standard_normal((n_cal, d)), seed=seed, label="null_b")
         if estimator == "ball":
@@ -368,7 +347,7 @@ def portnoy_scaling_experiment(d_list, n: int, reps: int,
 
     med_sq = []
     for idx, d in enumerate(d_list):
-        rng = np.random.default_rng(substream(seed, "portnoy_scaling", idx))
+        rng = substream(seed, "portnoy_scaling", idx)
         u = rng.standard_normal((reps, n))
         sigma2_u = np.mean(u * u, axis=1)
         z = rng.standard_normal((reps, d))

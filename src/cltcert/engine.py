@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Callable, Optional
 
@@ -107,6 +108,9 @@ class ConstantsLedger:
     c_phi6: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, v in asdict(self).items():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         for name in ("c_ell2", "c_phi4", "c_phi6"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
@@ -745,13 +749,16 @@ def optimize_beta(evaluator: Callable[[float], BoundBreakdown]):
     An :class:`InfeasibleError` propagates at once: feasibility never
     depends on β.  Returns ``(beta_star, breakdown_at_beta_star)``.
     """
+    last_error = None
 
     def f(beta: float) -> float:
+        nonlocal last_error
         try:
             v = evaluator(beta).total
         except InfeasibleError:
             raise  # no β can repair a failed feasibility condition
-        except (ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError) as exc:
+            last_error = exc
             return math.inf
         return v if math.isfinite(v) else math.inf
 
@@ -762,8 +769,9 @@ def optimize_beta(evaluator: Callable[[float], BoundBreakdown]):
     finite = [(f(beta), beta) for beta in candidates]
     finite = [(v, beta) for v, beta in finite if math.isfinite(v)]
     if not finite:
+        detail = f"; last error: {last_error}" if last_error else ""
         raise ValueError("bound evaluator returned no finite value on the "
-                         "search interval")
+                         "search interval" + detail) from last_error
     _, beta_star = min(finite)
     return beta_star, evaluator(beta_star)
 

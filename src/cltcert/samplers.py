@@ -47,6 +47,16 @@ def substream(root_seed: int, name: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=key))
 
 
+# kept out of __all__: the bench tracer wraps every exported name, and this
+# kernel runs once per resample chunk
+def _resample_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m×n counts of ``m`` Efron resamples: row r's n uniform index draws
+    are shifted by r·n, so one bincount over m·n cells counts every row."""
+    idx = rng.integers(0, n, size=(m, n))
+    idx += np.arange(0, m * n, n)[:, None]
+    return np.bincount(idx.ravel(), minlength=m * n).reshape(m, n)
+
+
 # ---------------------------------------------------------------------------
 # two-point mixing law
 # ---------------------------------------------------------------------------

@@ -264,6 +264,33 @@ def test_bound_ledger_overrides_change_total(tmp_path, capsys):
     assert "configuration error: unknown ledger constants: m3" in err
 
 
+@pytest.mark.parametrize("overrides", [
+    '[1]', '"x"', '{"m4": "x"}', '{"c_phi4": null}'])
+def test_bound_rejects_ledger_overrides_that_are_not_numbers(
+        overrides, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(summarize_gaussian(np.eye(2), 1000).to_json())
+    code, out, err = run_cli(
+        ["bound", "--theorem", "ball-normal", "--moments", str(path),
+         "--ledger-overrides", overrides], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+def test_bound_optimize_reports_the_evaluator_error(tmp_path, capsys):
+    summary = json.loads(summarize_gaussian(np.eye(2), 1000).to_json())
+    del summary["x_w4_mean"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(summary))
+    code, out, err = run_cli(
+        ["bound", "--theorem", "ball-normal", "--moments", str(path),
+         "--beta", "optimize"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: bound evaluator returned no "
+                          "finite value on the search interval")
+    assert err.endswith("moment summary is missing: x_w4_mean\n")
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -319,16 +346,26 @@ def test_distance_requires_seed(gaussian_csvs):
                    "same-law-halfspace")),
     *(["experiment", "--name", name, "--seed", "1", "--null-runs", "0"]
       for name in ("same-law-ball", "same-law-halfspace")),
+    ["experiment", "--name", "same-law-ball", "--seed", "1",
+     "--calibration-n", "0"],
+    ["experiment", "--name", "normal-sweep", "--seed", "1", "--n-list", "0"],
+    ["experiment", "--name", "normal-sweep", "--seed", "1", "--n-list", "20",
+     "--blocks", "0"],
+    *(["experiment", "--name", name, "--seed", "1", "--n", "50",
+       "--trials", "200", "--B", b]
+      for name in ("coverage", "score-level") for b in ("0", "150")),
     *(["distance", "--kind", kind, "--sample-a", "A", "--sample-b", "B",
        "--seed", "1", flag, value]
       for kind in ("ball", "halfspace")
       for flag, value in (("--centers", "-3"), ("--boot", "-2"))),
 ], ids=lambda argv: "-".join(argv[2:3] + argv[-2:]))
-def test_invalid_sizes_exit_2(argv, gaussian_csvs, capsys):
+def test_invalid_sizes_exit_2(argv, gaussian_csvs, capsys, recwarn):
     paths = dict(zip("AB", gaussian_csvs))
     code, out, err = run_cli([paths.get(v, v) for v in argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: ") and "Traceback" not in err
+    # pytest records warnings instead of printing them, so check both
+    assert "Warning" not in err and not recwarn.list
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy import stats
 from cltcert.distances import (
     DistanceEstimate,
     _bootstrap_stderr,
+    _sup_ks,
     anti_concentration_probe,
     delta_B_hat,
     delta_H_hat,
@@ -133,6 +134,23 @@ def test_bootstrap_stderr_equals_resample_reference(n_boot):
         assert rng.bit_generator.state == ref_rng.bit_generator.state, i
         nonzero += got > 0.0
     assert (nonzero > 0) == (n_boot >= 2)
+
+
+def test_sup_ks_keeps_the_first_of_tied_pairs():
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal(30), rng.standard_normal(45) + 0.5
+    low = (x, x + 1e-3)
+    # (y, x) ties (x, y) in KS value, but its resamples differ
+    tie = ks_two_sample_1d(x, y)
+    assert ks_two_sample_1d(*low) < tie == ks_two_sample_1d(y, x)
+    sa, sb = _sample(x[:, None]), _sample(y[:, None])
+    est = _sup_ks(sa, sb, iter([low, (x, y), (y, x)]), 20,
+                  np.random.default_rng(4), "pairs")
+    first = _bootstrap_stderr(x, y, 20, np.random.default_rng(4))
+    assert first != _bootstrap_stderr(y, x, 20, np.random.default_rng(4))
+    assert (est.value, est.stderr) == (tie, first)
+    assert (est.n_mc, est.search_set, est.flags) == (
+        30, "pairs", ("lower_estimate",))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ def test_ledger_defaults_and_overrides():
     # no bound reads m3, so it is not a ledger constant
     with pytest.raises(ValueError, match="unknown ledger constants: m3"):
         led.with_overrides(m3=54.1)
+    for value in ("x", None, True):
+        with pytest.raises(ValueError, match="c_phi4 must be a number"):
+            led.with_overrides(c_phi4=value)
 
 
 def test_constants_constraint_admissible_triples():

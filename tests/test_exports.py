@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cltcert import bootstrap, engine
+from cltcert import bootstrap, engine, samplers
 from cltcert.samplers import DistributionSpec
 from cltcert.tensors import MomentTensor, OperatorNormResult, Sample
 
@@ -63,3 +63,9 @@ def test_every_name_the_tracer_hooks_resolves():
     assert {"iterations", "converged"} <= {
         f.name for f in dataclasses.fields(OperatorNormResult)}
     assert "order" in {f.name for f in dataclasses.fields(MomentTensor)}
+
+
+def test_resample_kernel_is_not_exported():
+    # the tracer would wrap it and count every resample chunk as a sampler
+    # call, moving resampling time into the sampler metrics
+    assert "_resample_counts" not in samplers.__all__
