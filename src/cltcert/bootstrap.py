@@ -234,8 +234,8 @@ def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
     """Empirical level of the bootstrap score test under the null, on
     i.i.d. standard Gaussian scores (a σ_s-free run)."""
     _check_resampling(alpha, B)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if n < 2:  # every resample of a single row is that row
+        raise ValueError(f"n must be >= 2, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rejections = 0
@@ -267,8 +267,8 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
     reported in ``certificate_error`` and does not abort the empirical run.
     """
     _check_resampling(alpha, B)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if n < 2:  # every resample of a single row is that row
+        raise ValueError(f"n must be >= 2, got {n}")
     if trials < 200:
         raise ValueError("trials must be >= 200 for a stable coverage rate")
     w_spd = SpdMatrix.coerce(w)

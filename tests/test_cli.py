@@ -344,6 +344,10 @@ def test_distance_requires_seed(gaussian_csvs):
     *(["experiment", "--name", name, "--seed", "1", "--n", "0"]
       for name in ("coverage", "score-level", "same-law-ball",
                    "same-law-halfspace")),
+    # one row: every Efron resample is that row
+    ["experiment", "--name", "coverage", "--seed", "1", "--d", "2", "--B",
+     "200", "--trials", "200", "--n", "1"],
+    ["experiment", "--name", "score-level", "--seed", "1", "--n", "1"],
     *(["experiment", "--name", name, "--seed", "1", "--null-runs", "0"]
       for name in ("same-law-ball", "same-law-halfspace")),
     ["experiment", "--name", "same-law-ball", "--seed", "1",

@@ -10,6 +10,7 @@ from scipy import stats
 from cltcert.distances import (
     DistanceEstimate,
     _bootstrap_stderr,
+    _radii,
     _sup_ks,
     anti_concentration_probe,
     delta_B_hat,
@@ -19,7 +20,7 @@ from cltcert.distances import (
     portnoy_scaling_experiment,
     same_law_threshold,
 )
-from cltcert.samplers import sample_gaussian, sample_portnoy
+from cltcert.samplers import sample_gaussian, sample_portnoy, substream
 from cltcert.tensors import Sample
 
 # exact sup_r [P(χ²₂ ≤ r²) − P(χ²₂(nc=9) ≤ r²)] for the mean-shift-(3,0) pair
@@ -151,6 +152,76 @@ def test_sup_ks_keeps_the_first_of_tied_pairs():
     assert (est.value, est.stderr) == (tie, first)
     assert (est.n_mc, est.search_set, est.flags) == (
         30, "pairs", ("lower_estimate",))
+
+
+def test_ks_reads_strided_and_2d_input_like_contiguous_copies():
+    rng = np.random.default_rng(12)
+    x = np.round(4 * rng.standard_normal((400, 3))) / 4
+    y = np.round(4 * rng.standard_normal((300, 3))) / 4 + 0.25
+    dirs = rng.standard_normal((5, 3))
+    # rows of a transposed matrix product are strided views
+    pa, pb = (x @ dirs.T).T, (y @ dirs.T).T
+    assert not pa[0].flags.c_contiguous
+    for ra, rb in zip(pa, pb):
+        want = ks_two_sample_1d(ra.copy(), rb.copy())
+        assert ks_two_sample_1d(ra, rb) == want == _ks_reference(ra, rb)
+    assert ks_two_sample_1d(x, y) == ks_two_sample_1d(x.ravel().copy(),
+                                                      y.ravel().copy())
+    assert ks_two_sample_1d(x.T, y) == ks_two_sample_1d(x.T.copy().ravel(),
+                                                        y.ravel())
+
+
+# The ball radii reduce a (d, n) copy over its first axis.  numpy's
+# norm(axis=1) adds the d squares left to right too while d < 8, and
+# pairwise from d = 8, where the two differ by a few ulp.
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_radii_equal_norm_bit_for_bit_below_d8(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((3000, d)) * rng.exponential(size=d) * 10.0
+    x[:100] = x[100:200]  # repeated rows
+    for t in (np.zeros(d), rng.standard_normal(d), 1e3 * np.eye(d)[0]):
+        got = _radii(x.T.copy(), t)
+        assert np.array_equal(got, np.linalg.norm(x - t, axis=1))
+
+
+@pytest.mark.parametrize("d", [8, 16, 64])
+def test_radii_within_4_ulp_of_norm_from_d8(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((3000, d)) * rng.exponential(size=d)
+    t = rng.standard_normal(d)
+    want = np.linalg.norm(x - t, axis=1)
+    got = _radii(x.T.copy(), t)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def _delta_B_reference(sa, sb, n_centers, seed, n_boot):
+    """delta_B_hat with the radii as np.linalg.norm over (n, d) rows."""
+    d = sa.dim
+    tr = 0.5 * (np.trace(sa.covariance()) + np.trace(sb.covariance()))
+    scale = math.sqrt(max(tr, 1e-300))
+    g = substream(seed, "delta_B:centers", 0).standard_normal((n_centers, d))
+    axes = scale * np.eye(d)
+    centers = np.concatenate([np.zeros((1, d)), scale * g, axes, -axes])
+    radii = ((np.linalg.norm(sa.data - t, axis=1),
+              np.linalg.norm(sb.data - t, axis=1)) for t in centers)
+    return _sup_ks(sa, sb, radii, n_boot,
+                   substream(seed, "delta_B:stderr", 0), "reference")
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_delta_B_equals_norm_reference(d):
+    rng = np.random.default_rng(40 + d)
+    x = np.round(4 * rng.standard_normal((500, d))) / 4
+    y = np.round(4 * rng.laplace(size=(450, d))) / 4
+    # repeated rows tie within and across samples at every center
+    sa = _sample(np.concatenate([x, x[:60], y[:25]]))
+    sb = _sample(np.concatenate([y, y[:40], x[:30]]))
+    for seed, n_boot in ((0, 0), (3, 2), (5, 40)):
+        got = delta_B_hat(sa, sb, n_centers=24, seed=seed, n_boot=n_boot)
+        want = _delta_B_reference(sa, sb, 24, seed, n_boot)
+        assert (got.value, got.stderr) == (want.value, want.stderr)
+        assert got.value > 0.0 and (got.stderr > 0.0) == (n_boot >= 2)
 
 
 # ---------------------------------------------------------------------------

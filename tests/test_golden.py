@@ -15,9 +15,11 @@ relative tolerance of 1e-12.
 
 ``distance`` and the same-law experiments: every estimator kind on small
 seeded samples (the 1-D pair on a grid of quarter steps, so that values tie
-within and across samples), compared with ``golden/distance.txt`` in the
-same way; the cells of a CSV row are compared as numbers where they parse as
-one.  Radii and projections go through BLAS too.
+within and across samples), and the ball and half-space kinds again at
+d = 5 and d = 7 on quarter-step samples with repeated rows, compared with
+``golden/distance.txt`` in the same way; the cells of a CSV row are compared
+as numbers where they parse as one.  The ball scale (a covariance) and the
+projections go through BLAS too.
 
 ``experiment``, ``bootstrap`` and ``verify-constants``: the coverage,
 normal-sweep and same-law sweeps on each of the five families, the
@@ -130,8 +132,8 @@ def test_bound_from_sample_matches_golden_output(tmp_path):
 
 
 def distance_outputs(tmp_path) -> list:
-    """Stdout lines of ``distance`` for each kind and of the two same-law
-    experiments."""
+    """Stdout lines of ``distance`` for each kind, of the two same-law
+    experiments and of the ball and half-space kinds at d = 5 and 7."""
     rng = np.random.default_rng(30)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     Sample(rng.standard_normal((600, 3))).to_csv(str(a))
@@ -149,6 +151,17 @@ def distance_outputs(tmp_path) -> list:
               "500", "--null-runs", "20", "--calibration-n", "256",
               "--centers", "8", "--boot", "20"]
              for name in ("same-law-ball", "same-law-halfspace")]
+    for d in (5, 7):
+        # repeated rows tie within and across samples at every candidate,
+        # and quarter steps tie more at the origin and on the axes
+        x = np.round(4 * rng.standard_normal((360, d))) / 4
+        y = np.round(4 * rng.laplace(size=(320, d))) / 4
+        ad, bd = tmp_path / f"a{d}.csv", tmp_path / f"b{d}.csv"
+        Sample(np.concatenate([x, x[:40], y[:30]])).to_csv(str(ad))
+        Sample(np.concatenate([y, y[:50], x[:20]])).to_csv(str(bd))
+        runs += [["distance", "--kind", kind, "--sample-a", str(ad),
+                  "--sample-b", str(bd), "--seed", "9", "--centers", "12",
+                  "--boot", "25"] for kind in ("ball", "halfspace")]
     out = []
     for argv in runs:
         buf = io.StringIO()
@@ -173,7 +186,7 @@ def _cells(line: str) -> list:
 def test_distance_matches_golden_output(tmp_path):
     want = GOLDEN_DISTANCE.read_text().splitlines()
     got = distance_outputs(tmp_path)
-    assert len(got) == len(want) == 8
+    assert len(got) == len(want) == 12
     for line, (g, w) in enumerate(zip(got, want), 1):
         parse = json.loads if w.startswith("{") else _cells
         assert_same_json(parse(g), parse(w), f"line {line}")
