@@ -234,6 +234,8 @@ def score_level_experiment(d: int, n: int, alpha: float, B: int, trials: int,
     """Empirical level of the bootstrap score test under the null, on
     i.i.d. standard Gaussian scores (a σ_s-free run)."""
     _check_resampling(alpha, B)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if n < 2:  # every resample of a single row is that row
         raise ValueError(f"n must be >= 2, got {n}")
     if trials < 1:
@@ -275,6 +277,19 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
     if w_spd.dim != spec.d:
         raise ValueError("W dimension does not match the distribution")
     w_half = w_spd.sqrt()
+    # before the trials, so that an invalid σ² fails before they are spent;
+    # the pilot draws from its own substream
+    certificate, cert_error = None, None
+    if sigma2 is not None:
+        try:
+            pilot_rng = substream(seed, "coverage_pilot", 0)
+            pilot = spec.sample(max(n, COVERAGE_PILOT_N),
+                                seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
+            ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix,
+                                   n=n)
+            certificate = delta_W(ms)
+        except InfeasibleError as exc:
+            cert_error = str(exc)
 
     hits = 0
     for trial in range(trials):
@@ -288,17 +303,5 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
         observed = math.sqrt(n) * float(np.linalg.norm(w_half @ xbar))
         hits += observed <= q_star
     coverage, stderr = _rate(hits, trials)
-
-    certificate, cert_error = None, None
-    if sigma2 is not None:
-        try:
-            pilot_rng = substream(seed, "coverage_pilot", 0)
-            pilot = spec.sample(max(n, COVERAGE_PILOT_N),
-                                seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
-            ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix,
-                                   n=n)
-            certificate = delta_W(ms)
-        except InfeasibleError as exc:
-            cert_error = str(exc)
     return CoverageResult(coverage=coverage, stderr=stderr,
                           certificate=certificate, certificate_error=cert_error)

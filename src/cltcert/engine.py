@@ -239,14 +239,13 @@ class MomentSummary:
     coord_var_max: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not 0 <= v < math.inf:
+                raise ValueError(
+                    f"{f.name} must be finite and nonnegative, got {v}")
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
-        for f in fields(self):
-            if f.name in ("d", "n"):
-                continue
-            v = getattr(self, f.name)
-            if v is not None and v < 0:
-                raise ValueError(f"{f.name} must be nonnegative, got {v}")
         # any unit-variance direction gives 𝔼(γᵀΣ^{-1/2}X)⁴ ≥ 1
         for name in ("x_w4_op", "t_w4_op"):
             v = getattr(self, name)

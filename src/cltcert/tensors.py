@@ -357,29 +357,29 @@ def _power_starts(d: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
-                 order: int, shift: float):
-    """Shifted power iteration of the rows of ``v`` on sign·A, where
-    ``unfolded`` is the d×d^(k−1) unfolding of A.  Returns, per start, the
-    final Rayleigh value f(v) = ⟨sign·A, v^{⊗k}⟩, its iteration count and
-    whether it met the fixed-point test; a start stops as soon as it
-    converges or its update vanishes."""
-    def contract(rows, signs):
-        # sign·A·v^{⊗(k−1)} for every row v: one GEMM on the unfolding
-        return signs[:, None] * (_kron_rows(rows, order - 1) @ unfolded.T)
+def _power_block(unfolded: np.ndarray, v: np.ndarray, order: int,
+                 shift: float):
+    """Shifted power iteration of the rows of ``v`` on A, where ``unfolded``
+    is the d×d^(k−1) unfolding of A.  Returns, per start, the final Rayleigh
+    value f(v) = ⟨A, v^{⊗k}⟩, its iteration count and whether it met the
+    fixed-point test; a start stops as soon as it converges or its update
+    vanishes."""
+    def contract(rows):
+        # A·v^{⊗(k−1)} for every row v: one GEMM on the unfolding
+        return _kron_rows(rows, order - 1) @ unfolded.T
 
     fval = np.empty(v.shape[0])
     iters = np.full(v.shape[0], POWER_MAX_ITER)
     converged = np.zeros(v.shape[0], dtype=bool)
     active = np.arange(v.shape[0])
-    g = contract(v, sign)
+    g = contract(v)
     f = np.einsum("ij,ij->i", g, v)
     for it in range(POWER_MAX_ITER):
         w = g + shift * v
         nw = np.linalg.norm(w, axis=1)
         vanished = nw == 0.0  # such a start stops where it is, unconverged
         v_new = w / np.where(vanished, 1.0, nw)[:, None]
-        g = contract(v_new, sign)
+        g = contract(v_new)
         f_new = np.einsum("ij,ij->i", g, v_new)
         step = np.linalg.norm(v_new - v, axis=1)
         done = (~vanished & (step < 1e-8)
@@ -392,8 +392,7 @@ def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
             iters[active[stop]] = it + 1
             converged[active[stop]] = done[stop]
             keep = ~stop
-            active, v, g, f, sign = (active[keep], v[keep], g[keep], f[keep],
-                                     sign[keep])
+            active, v, g, f = active[keep], v[keep], g[keep], f[keep]
             if not active.size:
                 break
     fval[active] = f
@@ -403,35 +402,32 @@ def _power_block(unfolded: np.ndarray, v: np.ndarray, sign: np.ndarray,
 def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
     """Estimate ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩| for a symmetric tensor.
 
-    Uses shifted symmetric higher-order power iteration from canonical basis
-    vectors, normalized e_i ± e_j pairs (small d) and ``POWER_RESTARTS``
-    random unit starts, keeping the best stationary value.  Even orders run
-    every start on A and on −A.  All starts iterate together as the rows of one
+    Uses shifted symmetric higher-order power iteration on A from canonical
+    basis vectors, normalized e_i ± e_j pairs (small d) and
+    ``POWER_RESTARTS`` random unit starts, keeping the largest stationary
+    |f(v)| = |⟨A, v^{⊗k}⟩|.  All starts iterate together as the rows of one
     matrix: a step is one GEMM of their row-wise Kronecker powers with the
     d×d^(k−1) unfolding of A, in blocks of rows that keep the Kronecker
     powers within ``KRON_CHUNK_CELLS`` cells, and a start leaves its block
-    once it converges.  The result is always a certified lower bound on the
-    true norm; ``converged`` reports whether every start reached the
-    fixed-point tolerance, and ``iterations`` sums the steps of all starts.
-    Only orders 3 and 4 are accepted.
+    once it converges.  The result is always a lower bound on the true
+    norm; ``converged`` reports whether every start reached the fixed-point
+    tolerance, and ``iterations`` sums the steps of all starts.  Only
+    orders 3 and 4 are accepted.  An order-4 input must be a fourth-moment
+    tensor, whose form 𝔼⟨X, v⟩⁴ is never negative: for any other order-4
+    tensor the result can miss a negative extreme of f.
     """
     k, d, data = tensor.order, tensor.dim, tensor.data
     _check_order(k)
-    starts = _power_starts(d)
+    v = _power_starts(d)
     # monotonicity shift: |f''| along the sphere is bounded by k(k-1)·‖A‖_F,
     # so this shift convexifies the update for every start
     shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
-    signs = (1.0,) if k % 2 == 1 else (1.0, -1.0)
-    v = np.tile(starts, (len(signs), 1))
-    sign = np.repeat(signs, starts.shape[0])
     unfolded = data.reshape(d, d ** (k - 1))
     step = max(1, KRON_CHUNK_CELLS // d ** (k - 1))
     fval, iters, converged = (np.concatenate(parts) for parts in zip(*(
-        _power_block(unfolded, v[i:i + step], sign[i:i + step], k, shift)
+        _power_block(unfolded, v[i:i + step], k, shift)
         for i in range(0, v.shape[0], step))))
-    # odd order: f(-v) = -f(v), so |f| is what we can reach anyway
-    cand = np.abs(fval) if k % 2 == 1 else fval
-    return OperatorNormResult(float(np.nanmax(cand, initial=0.0)),
+    return OperatorNormResult(float(np.nanmax(np.abs(fval), initial=0.0)),
                               bool(converged.all()), int(iters.sum()))
 
 

@@ -315,6 +315,14 @@ def test_coverage_certificate_feasible_and_infeasible(monkeypatch):
     assert "feasibility" in bad.certificate_error
     assert bad.coverage == ok.coverage  # empirical run unaffected
 
+    # a non-finite σ² fails before any trial resamples
+    monkeypatch.setattr(bootstrap, "_resample_means", None)
+    for sigma2 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=400,
+                                           B=250, trials=200, seed=2,
+                                           sigma2=sigma2)
+
 
 def test_coverage_nontrivial_mean_and_rotation_stability():
     # N(0, I) is rotation invariant, so the ellipsoids of W and of its

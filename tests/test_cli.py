@@ -135,6 +135,36 @@ def test_bound_infeasible_certificate_exits_3(tmp_path, capsys):
         assert "infeasible" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_bound_rejects_non_finite_moment_summary(value, tmp_path, capsys):
+    # json writes NaN and ±Infinity, which are not valid JSON but parse
+    payload = json.loads(summarize_gaussian(SpdMatrix(np.eye(2)),
+                                            n=10_000).to_json())
+    payload["x_w3_op"] = float(value)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        ["bound", "--theorem", "ball-normal", "--moments", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "x_w3_op must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--theorem", "bootstrap-ball", "--from-sample", "S"],
+    ["bound", "--theorem", "score-bootstrap", "--from-sample", "S"],
+    *(["bootstrap", "--test", test, "--data", "S", "--alpha", "0.1", "--B",
+       "200", "--seed", "1"] for test in ("ball", "score")),
+    ["experiment", "--name", "coverage", "--seed", "1", "--d", "2", "--n",
+     "50", "--B", "200", "--trials", "200"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_non_finite_sigma2_exits_2(argv, value, score_csv, capsys):
+    code, out, err = run_cli([score_csv if v == "S" else v for v in argv]
+                             + ["--sigma2", value], capsys)
+    assert (code, out) == (2, "")
+    assert "sigma2 must be finite" in err
+
+
 def test_bound_builds_fourth_order_norms_only_for_halfspaces(
         gaussian_csvs, monkeypatch, capsys):
     a, b = gaussian_csvs
@@ -348,6 +378,7 @@ def test_distance_requires_seed(gaussian_csvs):
     ["experiment", "--name", "coverage", "--seed", "1", "--d", "2", "--B",
      "200", "--trials", "200", "--n", "1"],
     ["experiment", "--name", "score-level", "--seed", "1", "--n", "1"],
+    ["experiment", "--name", "score-level", "--seed", "1", "--d", "0"],
     *(["experiment", "--name", name, "--seed", "1", "--null-runs", "0"]
       for name in ("same-law-ball", "same-law-halfspace")),
     ["experiment", "--name", "same-law-ball", "--seed", "1",

@@ -160,6 +160,10 @@ def test_moment_summary_validation():
         MomentSummary(d=2, n=10, x_w4_mean=-1.0)
     with pytest.raises(ValueError):
         MomentSummary(d=2, n=10, x_w4_op=0.5)  # whitened 4th op norm is ≥ 1
+    for value in (math.nan, math.inf, -math.inf):
+        for name in ("x_w4_mean", "x_w4_op", "sigma2", "x_w3_nonzero"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                MomentSummary(d=2, n=10, **{name: value})
     ms = MomentSummary(d=2, n=10, x_w4_mean=5.0)
     with pytest.raises(ValueError, match="sigma_cond"):
         ms.require("x_w4_mean", "sigma_cond")

@@ -8,7 +8,9 @@ float arithmetic with no BLAS, so stdout must match
 
 ``--from-sample``: every theorem a sample can summarize, at the same two β
 settings, on a skewed X and a Gaussian T of different covariance written
-from a seeded generator.  The moment tensors go through BLAS, whose
+from a seeded generator, first with every matrix estimated from the samples
+and then again with ``--sigma``, ``--sigma-t``, ``--weight`` and ``--info``
+supplied.  The moment tensors go through BLAS, whose
 summation order may vary between builds, so ``golden/bound_from_sample.txt``
 is compared key for key and string for string, and number for number at a
 relative tolerance of 1e-12.
@@ -87,22 +89,40 @@ def test_bound_from_moments_matches_golden_output(tmp_path, capsys):
     assert bound_outputs(tmp_path, capsys) == GOLDEN.read_text()
 
 
+# the matrices of the second --from-sample pass, as CSV rows
+SUPPLIED_MATRICES = {
+    "--sigma": "1.0,0.2,0.1\n0.2,1.1,-0.1\n0.1,-0.1,0.9\n",
+    "--sigma-t": "1.0,0.0,0.0\n0.0,1.44,0.0\n0.0,0.0,0.81\n",
+    "--weight": "2.0,0.5,0.0\n0.5,1.0,0.25\n0.0,0.25,1.5\n",
+    "--info": "3000,150,0\n150,2900,-60\n0,-60,3100\n",
+}
+
+
 def from_sample_outputs(tmp_path) -> list:
-    """Stdout of ``bound --from-sample`` for each sample theorem and β."""
+    """Stdout of ``bound --from-sample`` for each sample theorem and β,
+    first with every matrix estimated from the samples, then with all four
+    matrix flags supplied (each route reads those it uses)."""
     rng = np.random.default_rng(20)
     x, t = tmp_path / "x.csv", tmp_path / "t.csv"
     Sample(rng.exponential(size=(3000, 3)) - 1.0).to_csv(str(x))
     Sample(rng.standard_normal((2500, 3)) * [1.0, 1.2, 0.9]).to_csv(str(t))
+    supplied = []
+    for flag, text in SUPPLIED_MATRICES.items():
+        path = tmp_path / (flag[2:] + ".csv")
+        path.write_text(text)
+        supplied += [flag, str(path)]
     out = []
-    for theorem in SAMPLE_THEOREMS:
-        for beta in ("0.829", "optimize"):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(["bound", "--theorem", theorem,
-                                 "--from-sample", str(x), "--second-sample",
-                                 str(t), "--sigma2", "0.1", "--beta", beta])
-            assert code == 0, (theorem, beta)
-            out.append(buf.getvalue())
+    for extra in ([], supplied):
+        for theorem in SAMPLE_THEOREMS:
+            for beta in ("0.829", "optimize"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli.main(["bound", "--theorem", theorem,
+                                     "--from-sample", str(x),
+                                     "--second-sample", str(t), "--sigma2",
+                                     "0.1", "--beta", beta, *extra])
+                assert code == 0, (theorem, beta, extra)
+                out.append(buf.getvalue())
     return out
 
 
@@ -126,7 +146,7 @@ def assert_same_json(got, want, where=""):
 def test_bound_from_sample_matches_golden_output(tmp_path):
     want = GOLDEN_FROM_SAMPLE.read_text().splitlines()
     got = from_sample_outputs(tmp_path)
-    assert len(got) == len(want) == 2 * len(SAMPLE_THEOREMS)
+    assert len(got) == len(want) == 4 * len(SAMPLE_THEOREMS)
     for line, (g, w) in enumerate(zip(got, want), 1):
         assert_same_json(json.loads(g), json.loads(w), f"line {line}")
 
