@@ -27,6 +27,7 @@ from .engine import (
     score2_bound,
     score_summary,
 )
+from . import tensors
 from .samplers import DistributionSpec, _resample_counts, substream
 from .tensors import Sample, SpdMatrix
 
@@ -45,10 +46,6 @@ __all__ = [
 ]
 
 MIN_REPLICATES = 200
-
-# count cells (replicates × n) _resample_means draws at once through
-# samplers._resample_counts: 32 MB of int64
-RESAMPLE_CHUNK_CELLS = 2 ** 22
 
 # least number of pilot rows the coverage certificate's moments come from
 COVERAGE_PILOT_N = 20_000
@@ -83,11 +80,11 @@ def _resample_means(centered: np.ndarray, b: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``b`` Efron resample means of the centered rows (conditional mean 0,
     covariance Σ̂/n), from ``_resample_counts`` in row chunks of at most
-    ``RESAMPLE_CHUNK_CELLS`` cells: the same draws as one b×n draw.  Each
+    ``tensors.CHUNK_CELLS`` cells: the same draws as one b×n draw.  Each
     chunk's counts are freed after its product, before the next chunk is
     drawn."""
     n = centered.shape[0]
-    step = max(1, RESAMPLE_CHUNK_CELLS // n)
+    step = max(1, tensors.CHUNK_CELLS // n)
     return np.concatenate([_resample_counts(n, min(step, b - i), rng)
                            @ centered / n for i in range(0, b, step)])
 
@@ -129,16 +126,15 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     w_spd = SpdMatrix.coerce(w)
     if w_spd.dim != s.dim:
         raise ValueError("W dimension does not match the sample")
-    centered = s.data - s.mean()
-    rng = substream(seed, "ball_quantile", 0)
-    means = _resample_means(centered, B, rng)
-    stats = math.sqrt(s.n) * np.linalg.norm(means @ w_spd.sqrt(), axis=1)
-    quantile = _order_stat_quantile(stats, alpha)
-    certificate = None
+    certificate = None  # first, so that an invalid σ² fails before resampling
     if sigma2 is not None:
         ms = bootstrap_summary(s, sigma2=sigma2, weight=w_spd.matrix)
         certificate = bootstrap_delta(ms)
-    return BootstrapResult(replicates=stats, quantile=quantile,
+    rng = substream(seed, "ball_quantile", 0)
+    means = _resample_means(s.data - s.mean(), B, rng)
+    stats = math.sqrt(s.n) * np.linalg.norm(means @ w_spd.sqrt(), axis=1)
+    return BootstrapResult(replicates=stats,
+                           quantile=_order_stat_quantile(stats, alpha),
                            certificate=certificate)
 
 
@@ -167,16 +163,15 @@ def bootstrap_score_test(scores: Sample, alpha: float, B: int = 2000,
     _check_resampling(alpha, B)
     if scores.n < 2:
         raise ValueError("need at least 2 score rows")
-    rng = substream(seed, "score_boot", 0)
-    statistic, threshold = _score_bootstrap(scores.data, B, alpha, rng)
-
     certificate, cert_error = None, None
-    if sigma2_s is not None:
+    if sigma2_s is not None:  # before the resampling, as in the ball quantile
         try:
             ms = score_summary(scores, sigma2_s=sigma2_s, info=info)
             certificate = delta_R(ms)
         except InfeasibleError as exc:
             cert_error = str(exc)
+    rng = substream(seed, "score_boot", 0)
+    statistic, threshold = _score_bootstrap(scores.data, B, alpha, rng)
     return ScoreTestResult(reject=statistic > threshold, statistic=statistic,
                            threshold=threshold, certificate=certificate,
                            certificate_error=cert_error)

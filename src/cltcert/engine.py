@@ -81,6 +81,17 @@ class InfeasibleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_number(name: str, v, integral: bool = False) -> None:
+    """``ValueError`` unless ``v`` is a finite nonnegative number, and an
+    integer if ``integral``; a bool is not a number here."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    if not 0 <= v < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+    if integral and not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 # admissible (K, M, a, b) tuples behind the published smoothing constants,
 # checked by verify_constants_constraint; M is the constant for order K
 CONSTANT_TUPLES = ((3, 54.1, 27.46, 14.0),
@@ -109,8 +120,7 @@ class ConstantsLedger:
 
     def __post_init__(self) -> None:
         for name, v in asdict(self).items():
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {v!r}")
+            _check_number(name, v)
         for name in ("c_ell2", "c_phi4", "c_phi6"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
@@ -241,9 +251,8 @@ class MomentSummary:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and not 0 <= v < math.inf:
-                raise ValueError(
-                    f"{f.name} must be finite and nonnegative, got {v}")
+            if v is not None or f.default is not None:  # d, n and set fields
+                _check_number(f.name, v, "int" in f.type)  # d, n, *_nonzero
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
         # any unit-variance direction gives 𝔼(γᵀΣ^{-1/2}X)⁴ ≥ 1

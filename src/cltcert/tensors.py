@@ -13,9 +13,10 @@ The two hot kernels are matrix products on unfoldings.  ``empirical_moment``
 forms the d^⌊k/2⌋×d^⌈k/2⌉ unfolding of the moment as one GEMM of row-wise
 Kronecker powers per row chunk, and ``operator_norm`` runs every power
 iteration start at once, one GEMM with the d×d^(k−1) unfolding per step.
-Both build their Kronecker blocks in pieces of at most ``KRON_CHUNK_CELLS``
+Both build their Kronecker blocks in pieces of at most ``CHUNK_CELLS``
 cells, so beyond the dense tensor itself their memory does not grow with n
-or with the number of starts.
+or with the number of starts.  The bootstrap's Efron kernel draws its count
+blocks under the same budget.
 """
 
 from __future__ import annotations
@@ -148,12 +149,8 @@ class SpdMatrix:
         return float(self.eigenvalues[0])
 
     @property
-    def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    @property
     def operator_norm(self) -> float:
-        return self.max_eigenvalue
+        return float(self.eigenvalues[-1])
 
     @property
     def frobenius_norm(self) -> float:
@@ -165,7 +162,7 @@ class SpdMatrix:
 
     @property
     def condition_number(self) -> float:
-        return self.max_eigenvalue / self.min_eigenvalue
+        return self.operator_norm / self.min_eigenvalue
 
     # ---- functional calculus ----------------------------------------------
     def _apply(self, f) -> np.ndarray:
@@ -267,12 +264,11 @@ class Sample:
 # moment computation and norms
 # --------------------------------------------------------------------------
 
-# cells (rows × d^m) of one row-wise Kronecker block that empirical_moment
-# and operator_norm build at once: 32 MB of float64
-KRON_CHUNK_CELLS = 2 ** 22
-
-# most rows empirical_moment accumulates per chunk, whatever the budget allows
-MOMENT_CHUNK_ROWS = 262144
+# cells of one block that a chunked kernel builds at once: the row-wise
+# Kronecker blocks (rows × d^m) of empirical_moment and operator_norm and the
+# count blocks (replicates × n) of bootstrap._resample_means; 8 MB of 8-byte
+# cells
+CHUNK_CELLS = 2 ** 20
 
 # operator_norm's power iteration: random starts beyond the canonical ones,
 # iteration cap per start, relative fixed-point tolerance, and the seed of
@@ -310,17 +306,16 @@ def empirical_moment(sample: Sample, order: int) -> MomentTensor:
     """Average outer power n^{-1} Σ_i x_i^{⊗k} as a dense tensor.
 
     Writing k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is
-    the GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks of at
-    most ``MOMENT_CHUNK_ROWS`` rows whose Kronecker blocks stay within
-    ``KRON_CHUNK_CELLS`` cells.  Only orders 3 and 4 are accepted: they are
-    the moments the bounds read.
+    the GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks whose
+    Kronecker blocks stay within ``CHUNK_CELLS`` cells.  Only orders 3 and 4
+    are accepted: they are the moments the bounds read.
     """
     _check_order(order)
     _check_dense_size(order, sample.dim)
     x = sample.data
     n, d = x.shape
     a, b = order // 2, order - order // 2
-    step = max(1, min(MOMENT_CHUNK_ROWS, KRON_CHUNK_CELLS // d ** b))
+    step = max(1, CHUNK_CELLS // d ** b)
     acc = np.zeros((d ** a, d ** b))
     for start in range(0, n, step):
         acc += _unfolded_power_sum(x[start:start + step], a, b)
@@ -408,7 +403,7 @@ def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
     |f(v)| = |⟨A, v^{⊗k}⟩|.  All starts iterate together as the rows of one
     matrix: a step is one GEMM of their row-wise Kronecker powers with the
     d×d^(k−1) unfolding of A, in blocks of rows that keep the Kronecker
-    powers within ``KRON_CHUNK_CELLS`` cells, and a start leaves its block
+    powers within ``CHUNK_CELLS`` cells, and a start leaves its block
     once it converges.  The result is always a lower bound on the true
     norm; ``converged`` reports whether every start reached the fixed-point
     tolerance, and ``iterations`` sums the steps of all starts.  Only
@@ -423,7 +418,7 @@ def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
     # so this shift convexifies the update for every start
     shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
     unfolded = data.reshape(d, d ** (k - 1))
-    step = max(1, KRON_CHUNK_CELLS // d ** (k - 1))
+    step = max(1, CHUNK_CELLS // d ** (k - 1))
     fval, iters, converged = (np.concatenate(parts) for parts in zip(*(
         _power_block(unfolded, v[i:i + step], k, shift)
         for i in range(0, v.shape[0], step))))

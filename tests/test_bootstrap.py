@@ -7,9 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cltcert import bootstrap, cli
+from cltcert import bootstrap, cli, tensors
 from cltcert.bootstrap import (
-    RESAMPLE_CHUNK_CELLS,
     _resample_means,
     bootstrap_ball_quantile,
     bootstrap_score_test,
@@ -31,7 +30,7 @@ from cltcert.tensors import Sample, SpdError
 def test_resample_kernel_matches_one_shot_index_draw(monkeypatch, n):
     # a 1000-cell budget splits B = 25 replicates into chunks of 3 rows,
     # the last one short; at n = 301 each chunk's m·n draws are odd
-    monkeypatch.setattr(bootstrap, "RESAMPLE_CHUNK_CELLS", 1000)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
     x = np.random.default_rng(8).standard_normal((n, 3))
     c = x - x.mean(axis=0)
     rng = np.random.default_rng(9)
@@ -61,7 +60,8 @@ def test_resample_counts_follow_the_multinomial_law():
 def test_resample_kernel_memory_stays_within_the_chunk_budget():
     # n·B is 8 chunk budgets; one B×n count matrix alone would take
     # 8 bytes × 8 budgets
-    n, b = 2 ** 16, 8 * RESAMPLE_CHUNK_CELLS // 2 ** 16
+    b = 256
+    n = 8 * tensors.CHUNK_CELLS // b
     s = sample_gaussian(np.eye(3), n, seed=4)
     tracemalloc.start()
     try:
@@ -70,7 +70,7 @@ def test_resample_kernel_memory_stays_within_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert res.replicates.size == b
-    assert peak < 3 * 8 * RESAMPLE_CHUNK_CELLS
+    assert peak < 3 * 8 * tensors.CHUNK_CELLS
 
 
 def test_efron_mean_and_covariance_identities_mc():
@@ -279,8 +279,27 @@ def test_experiments_do_not_depend_on_the_resample_chunk(monkeypatch,
     default = {name: stdout(args) for name, args in argv.items()}
     assert default == {name: stdout(args) for name, args in argv.items()}
     # 1000 cells hold 20 replicates of n = 50: B = 200 takes 10 chunks
-    monkeypatch.setattr(bootstrap, "RESAMPLE_CHUNK_CELLS", 1000)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
     assert default == {name: stdout(args) for name, args in argv.items()}
+
+
+@pytest.mark.parametrize("sigma2", ["0", "nan"])
+@pytest.mark.parametrize("test", ["ball", "score"])
+def test_invalid_sigma2_fails_before_any_resample(test, sigma2, tmp_path,
+                                                 monkeypatch, capsys):
+    path = tmp_path / "x.csv"
+    sample_gaussian(np.eye(2), 300, seed=1).to_csv(str(path))
+    resampled, resample = [], bootstrap._resample_means
+
+    def spy(centered, b, rng):
+        resampled.append(b)
+        return resample(centered, b, rng)
+
+    monkeypatch.setattr(bootstrap, "_resample_means", spy)
+    code = cli.main(["bootstrap", "--test", test, "--data", str(path),
+                     "--alpha", "0.1", "--B", "400", "--seed", "1",
+                     "--sigma2", sigma2])
+    assert (code, capsys.readouterr().out, resampled) == (2, "", [])
 
 
 def test_coverage_experiment_smoke():

@@ -149,6 +149,26 @@ def test_bound_rejects_non_finite_moment_summary(value, tmp_path, capsys):
     assert "x_w3_op must be finite" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("x_w3_op", "0.5", "x_w3_op must be a number, got '0.5'"),
+    ("x_w4_mean", True, "x_w4_mean must be a number, got True"),
+    ("d", 2.5, "d must be an integer, got 2.5"),
+    ("d", True, "d must be a number, got True"),
+    ("n", 1e4, "n must be an integer, got 10000.0"),
+    ("x_w3_nonzero", 1.5, "x_w3_nonzero must be an integer, got 1.5"),
+], ids=repr)
+def test_bound_rejects_moment_summary_fields_of_the_wrong_type(
+        field, value, message, tmp_path, capsys):
+    payload = json.loads(summarize_gaussian(SpdMatrix(np.eye(2)),
+                                            n=10_000).to_json())
+    payload[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        ["bound", "--theorem", "ball-normal", "--moments", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["bound", "--theorem", "bootstrap-ball", "--from-sample", "S"],

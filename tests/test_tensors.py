@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cltcert import tensors
+from cltcert import bootstrap, tensors
 from cltcert.tensors import (
     MomentTensor,
     Sample,
@@ -134,16 +134,16 @@ def test_empirical_moment_matches_naive_loop():
 
 
 def test_empirical_moment_accumulates_many_chunks(monkeypatch):
-    # rows per chunk: 7 by the row cap, then 5 by a 125-cell budget (d² = 25)
+    # rows per chunk: 7 by a 175-cell budget, then 5 by a 125-cell budget
+    # (d² = 25 cells per row at both orders)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 5))
     s = Sample(x)
-    monkeypatch.setattr(tensors, "MOMENT_CHUNK_ROWS", 7)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 25)
     for k in (3, 4):
         np.testing.assert_allclose(empirical_moment(s, k).data,
                                    naive_moment(x, k), rtol=1e-12)
-    monkeypatch.undo()
-    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 125)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 125)
     for k in (3, 4):
         np.testing.assert_allclose(empirical_moment(s, k).data,
                                    naive_moment(x, k), rtol=1e-12)
@@ -153,7 +153,8 @@ def test_empirical_moment_centering_and_chunking(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((1000, 2)) + 5.0
     xc = x - x.mean(axis=0)
-    monkeypatch.setattr(tensors, "MOMENT_CHUNK_ROWS", 128)
+    # 128 rows of d² = 4 cells per chunk
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 128 * 4)
     t = empirical_moment(Sample(xc), 4)
     np.testing.assert_allclose(t.data, naive_moment(xc, 4), rtol=1e-10)
 
@@ -217,10 +218,10 @@ def test_operator_norm_matches_golden_values(d):
 
 def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
     # 33 starts of 125-cell Kronecker rows in blocks of 7
-    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 7 * 125)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 125)
     rng = np.random.default_rng(7)
     assert_matches_reference(_whitened_moment(rng, 5, 4))
-    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", 1)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 1)
     monkeypatch.setattr(tensors, "POWER_MAX_ITER", 40)
     assert_matches_reference(_whitened_moment(rng, 3, 3))
 
@@ -474,17 +475,49 @@ def _peak_bytes(fn):
 def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch):
     # order 4 at d = 8: 1024 rows of x⊗x per budget, n = 16 budgets of rows;
     # one unchunked n×d² block alone would take 16 budgets
-    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", BUDGET_CELLS)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
     d = 8
     s = Sample(np.random.default_rng(51).standard_normal((16 * 1024, d)))
     peak = _peak_bytes(lambda: empirical_moment(s, 4))
     assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
 
 
+def test_one_budget_chunks_every_kernel(monkeypatch):
+    # 1000 cells: 3 Efron replicates of n = 300 (25 in 9 chunks), 40 moment
+    # rows of d² = 25 cells (200 in 5 chunks) and 8 power starts of d³ = 125
+    # cells (33 in 5 blocks); each kernel must split under this one value
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
+    chunks = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args):
+            chunks[name] = chunks.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in ((bootstrap, "_resample_counts"),
+                         (tensors, "_unfolded_power_sum"),
+                         (tensors, "_power_block")):
+        count(module, name)
+    rng = np.random.default_rng(61)
+    c = rng.standard_normal((300, 3))
+    means = bootstrap._resample_means(c, 25, np.random.default_rng(9))
+    draws = np.random.default_rng(9).integers(0, 300, size=(25, 300))
+    np.testing.assert_allclose(means, c[draws].mean(axis=1), rtol=1e-12)
+    x = rng.standard_normal((200, 5))
+    moment = empirical_moment(Sample(x), 4)
+    np.testing.assert_allclose(moment.data, naive_moment(x, 4), rtol=1e-12)
+    assert_matches_reference(moment)
+    assert chunks == {"_resample_counts": 9, "_unfolded_power_sum": 5,
+                      "_power_block": 5}
+
+
 def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch):
     # order 4 at d = 16: 264 starts of 16³ Kronecker cells are 16.5
     # budgets, iterated in blocks of 16 starts
-    monkeypatch.setattr(tensors, "KRON_CHUNK_CELLS", BUDGET_CELLS)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
     d = 16
     data = symmetrize(np.random.default_rng(52).standard_normal((d,) * 4))
     t = MomentTensor(4, d, data)
