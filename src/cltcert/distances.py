@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import tensors
 from .samplers import _resample_counts, substream
 from .tensors import Sample
 
@@ -190,12 +191,17 @@ def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
 def _sup_ks(sa: Sample, sb: Sample, pairs, n_boot: int,
             rng: np.random.Generator, search_set: str) -> DistanceEstimate:
     """Max of the exact 1-D KS statistic over the candidate ``(a, b)``
-    pairs, the first on a tie, with the bootstrap stderr at that pair."""
+    pairs, the first on a tie, with the bootstrap stderr at that pair.
+
+    The best pair is kept as a copy, and each pair is dropped before the
+    next is drawn, so a pair that is a view into a larger block does not
+    keep that block alive while ``pairs`` builds the next one."""
     best_val, best = -1.0, None
     for a, b in pairs:
         val = ks_two_sample_1d(a, b)
         if val > best_val:
-            best_val, best = val, (a, b)
+            best_val, best = val, (a.copy(), b.copy())
+        del a, b
     return DistanceEstimate(value=best_val,
                             stderr=_bootstrap_stderr(*best, n_boot, rng),
                             n_mc=min(sa.n, sb.n), search_set=search_set,
@@ -254,6 +260,26 @@ def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
                    f"+{2 * d}axes@scale=trace^0.5")
 
 
+def _projections(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray):
+    """Yield ``(xa @ u, xb @ u)`` for each row u of ``dirs``, in order.
+
+    The directions are split into near-equal blocks of at most ``step``,
+    so a block's two projections hold at most ``tensors.CHUNK_CELLS`` cells
+    unless three directions already exceed it.  A step of at least 3 keeps
+    every block at least 2 wide (k ≥ 2): a one-column product goes through
+    GEMV, whose last bits can differ from the GEMM's.  Each block is
+    ``x @ block.T``, the orientation of one product over all directions,
+    whose bits it repeats (checked at d ≤ 16); with OpenBLAS 0.3.31 the
+    transposed ``block @ x.T`` rounds some entries differently once a block
+    is 16 directions wide.  The rows yielded are strided views into the
+    block.
+    """
+    k = dirs.shape[0]
+    step = max(3, tensors.CHUNK_CELLS // (xa.shape[0] + xb.shape[0]))
+    for block in np.array_split(dirs, -(-k // step)):
+        yield from zip((xa @ block.T).T, (xb @ block.T).T)
+
+
 def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
                 n_boot: int = 100) -> DistanceEstimate:
     """Lower estimate of the uniform distance over half-spaces.
@@ -261,14 +287,18 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
     Max over unit directions (uniform on the sphere plus canonical axes) of
     the exact 1-D KS statistic on the projections.  Sign flips of a
     direction leave the KS value unchanged, so only +axes are included.
+
+    The projections are built a block of directions at a time, so beyond
+    the two samples the working set is about ``tensors.CHUNK_CELLS`` cells
+    plus O(na + nb) for the KS statistic and the best pair, whatever
+    ``n_dirs`` is.
     """
     _check_search(sa, sb, "n_dirs", n_dirs, n_boot)
     d = sa.dim
     g = substream(seed, "delta_H:dirs", 0).standard_normal((n_dirs, d))
     dirs = np.concatenate([g / np.linalg.norm(g, axis=1, keepdims=True),
                            np.eye(d)], axis=0)
-    columns = zip((sa.data @ dirs.T).T, (sb.data @ dirs.T).T)
-    return _sup_ks(sa, sb, columns, n_boot,
+    return _sup_ks(sa, sb, _projections(sa.data, sb.data, dirs), n_boot,
                    substream(seed, "delta_H:stderr", 0),
                    f"halfspaces:{n_dirs}sphere+{d}axes")
 

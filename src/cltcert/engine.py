@@ -276,11 +276,16 @@ class MomentSummary:
     @classmethod
     def from_json(cls, text: str) -> "MomentSummary":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("moment summary must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError("unknown moment summary fields: "
                              + ", ".join(unknown))
+        missing = [name for name in ("d", "n") if name not in payload]
+        if missing:
+            raise ValueError("moment summary is missing: " + ", ".join(missing))
         return cls(**payload)
 
 

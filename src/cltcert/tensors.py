@@ -16,7 +16,8 @@ iteration start at once, one GEMM with the d×d^(k−1) unfolding per step.
 Both build their Kronecker blocks in pieces of at most ``CHUNK_CELLS``
 cells, so beyond the dense tensor itself their memory does not grow with n
 or with the number of starts.  The bootstrap's Efron kernel draws its count
-blocks under the same budget.
+blocks, and the half-space search projects its samples onto blocks of
+directions, under the same budget.
 """
 
 from __future__ import annotations
@@ -265,9 +266,10 @@ class Sample:
 # --------------------------------------------------------------------------
 
 # cells of one block that a chunked kernel builds at once: the row-wise
-# Kronecker blocks (rows × d^m) of empirical_moment and operator_norm and the
-# count blocks (replicates × n) of bootstrap._resample_means; 8 MB of 8-byte
-# cells
+# Kronecker blocks (rows × d^m) of empirical_moment and operator_norm, the
+# count blocks (replicates × n) of bootstrap._resample_means and the
+# projection blocks (directions × pooled rows) of distances.delta_H_hat; 8 MB
+# of 8-byte cells
 CHUNK_CELLS = 2 ** 20
 
 # operator_norm's power iteration: random starts beyond the canonical ones,

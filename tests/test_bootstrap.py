@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,18 +56,14 @@ def test_resample_counts_follow_the_multinomial_law():
         assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / cells)
 
 
-def test_resample_kernel_memory_stays_within_the_chunk_budget():
+def test_resample_kernel_memory_stays_within_the_chunk_budget(run_traced):
     # n·B is 8 chunk budgets; one B×n count matrix alone would take
     # 8 bytes × 8 budgets
     b = 256
     n = 8 * tensors.CHUNK_CELLS // b
     s = sample_gaussian(np.eye(3), n, seed=4)
-    tracemalloc.start()
-    try:
-        res = bootstrap_ball_quantile(s, np.eye(3), alpha=0.1, B=b, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = run_traced(
+        lambda: bootstrap_ball_quantile(s, np.eye(3), alpha=0.1, B=b, seed=1))
     assert res.replicates.size == b
     assert peak < 3 * 8 * tensors.CHUNK_CELLS
 

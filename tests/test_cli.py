@@ -341,6 +341,29 @@ def test_bound_optimize_reports_the_evaluator_error(tmp_path, capsys):
     assert err.endswith("moment summary is missing: x_w4_mean\n")
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("[1]", "moment summary must be a JSON object"),
+    ("null", "moment summary must be a JSON object"),
+    ('"x"', "moment summary must be a JSON object"),
+    ('["d", "n"]', "moment summary must be a JSON object"),
+    ('{"n": 1000}', "moment summary is missing: d"),
+    ('{"d": 2, "sigma_op": 1.0}', "moment summary is missing: n"),
+    ("{}", "moment summary is missing: d, n"),
+])
+@pytest.mark.parametrize("command", ["bound", "score-test"])
+def test_moments_file_that_is_not_a_summary_is_a_configuration_error(
+        command, text, problem, score_csv, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    info = tmp_path / "info.csv"
+    np.savetxt(str(info), 300 * np.eye(3), delimiter=",")
+    argv = {"bound": ["bound", "--theorem", "ball-normal"],
+            "score-test": ["score-test", "--data", score_csv, "--alpha",
+                           "0.05", "--info", str(info)]}[command]
+    code, out, err = run_cli(argv + ["--moments", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"configuration error: {problem}\n")
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cltcert import tensors
 from cltcert.distances import (
     DistanceEstimate,
     _bootstrap_stderr,
+    _projections,
     _radii,
     _sup_ks,
     anti_concentration_probe,
@@ -222,6 +224,100 @@ def test_delta_B_equals_norm_reference(d):
         want = _delta_B_reference(sa, sb, 24, seed, n_boot)
         assert (got.value, got.stderr) == (want.value, want.stderr)
         assert got.value > 0.0 and (got.stderr > 0.0) == (n_boot >= 2)
+
+
+def _delta_H_reference(sa, sb, n_dirs, seed, n_boot):
+    """delta_H_hat with every projection from one product over all
+    directions."""
+    d = sa.dim
+    g = substream(seed, "delta_H:dirs", 0).standard_normal((n_dirs, d))
+    dirs = np.concatenate([g / np.linalg.norm(g, axis=1, keepdims=True),
+                           np.eye(d)], axis=0)
+    columns = zip((sa.data @ dirs.T).T, (sb.data @ dirs.T).T)
+    return _sup_ks(sa, sb, columns, n_boot,
+                   substream(seed, "delta_H:stderr", 0), "reference")
+
+
+def _forced_budgets(k, rows):
+    """Cell budgets that split k directions of ``rows`` pooled rows into 3
+    or more blocks: the smallest step (3), the smallest larger step that
+    would leave one direction over (k % step == 1), a step of 7 and a
+    budget below one pair of projections."""
+    over = min(s for s in range(4, k) if k % s == 1)
+    return [3 * rows, over * rows, 7 * rows + 3, 1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_projections_repeat_the_one_shot_product(d, monkeypatch):
+    # 1038 pooled rows, not a multiple of 8: the transposed product
+    # dirs @ x.T rounds differently here, and so does a one-column block
+    rng = np.random.default_rng(80 + d)
+    x = np.round(4 * rng.standard_normal((601, d))) / 4
+    y = np.round(4 * rng.laplace(size=(437, d))) / 4
+    dirs = rng.standard_normal((40, d))
+    want_a, want_b = (x @ dirs.T).T, (y @ dirs.T).T
+    for budget in [tensors.CHUNK_CELLS] + _forced_budgets(40, 1038):
+        monkeypatch.setattr(tensors, "CHUNK_CELLS", budget)
+        pa, pb = zip(*_projections(x, y, dirs))
+        assert np.array_equal(pa, want_a) and np.array_equal(pb, want_b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_delta_H_is_bit_identical_at_every_budget(d, monkeypatch,
+                                                  projection_blocks):
+    rng = np.random.default_rng(60 + d)
+    x = np.round(4 * rng.standard_normal((500, d))) / 4
+    y = np.round(4 * rng.laplace(size=(450, d))) / 4
+    # repeated rows tie within and across samples along every direction
+    sa = _sample(np.concatenate([x, x[:60], y[:25]]))
+    sb = _sample(np.concatenate([y, y[:40], x[:30]]))
+    k, rows = 24 + d, sa.n + sb.n
+    runs = ((0, 0), (5, 40))
+    want = [_delta_H_reference(sa, sb, 24, seed, n_boot)
+            for seed, n_boot in runs]
+    assert all(w.value > 0.0 for w in want) and want[1].stderr > 0.0
+    default = tensors.CHUNK_CELLS
+    for budget in [default] + _forced_budgets(k, rows):
+        monkeypatch.setattr(tensors, "CHUNK_CELLS", budget)
+        for (seed, n_boot), ref in zip(runs, want):
+            projection_blocks.clear()
+            got = delta_H_hat(sa, sb, n_dirs=24, seed=seed, n_boot=n_boot)
+            assert (got.value, got.stderr) == (ref.value, ref.stderr)
+            assert sum(projection_blocks) == k
+            if budget == default:
+                assert projection_blocks == [k]
+            else:
+                assert len(projection_blocks) >= 3
+                assert min(projection_blocks) >= 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_halfspace_threshold_is_bit_identical_at_every_budget(d,
+                                                              monkeypatch):
+    def threshold():
+        return same_law_threshold(d, 1000, estimator="halfspace", n_null=4,
+                                  n_cal=301, seed=2, n_centers=24)
+
+    want = threshold()
+    for budget in _forced_budgets(24 + d, 2 * 301):
+        monkeypatch.setattr(tensors, "CHUNK_CELLS", budget)
+        assert threshold() == want
+
+
+def test_delta_H_memory_stays_within_the_chunk_budget(run_traced):
+    # 259 directions of two 32 768-row samples: projecting onto all of them
+    # at once would take 16 budgets.  They go in 17 blocks of at most 16
+    # directions, one budget; the KS statistic, its bootstrap and the best
+    # pair take a few copies of the pooled rows.  A second block kept alive
+    # would break the bound.
+    n, d = 32_768, 3
+    rng = np.random.default_rng(71)
+    sa = _sample(np.round(4 * rng.standard_normal((n, d))) / 4)
+    sb = _sample(np.round(4 * rng.standard_normal((n, d))) / 4 + 0.25)
+    est, peak = run_traced(
+        lambda: delta_H_hat(sa, sb, n_dirs=256, seed=3, n_boot=2))
+    assert est.value > 0.0 and est.stderr > 0.0
+    assert peak < 8 * (tensors.CHUNK_CELLS + 4 * 2 * n * d)
 
 
 # ---------------------------------------------------------------------------

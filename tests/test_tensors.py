@@ -3,13 +3,12 @@
 import io
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from cltcert import bootstrap, tensors
+from cltcert import bootstrap, distances, tensors
 from cltcert.tensors import (
     MomentTensor,
     Sample,
@@ -462,30 +461,23 @@ def test_hermite_integral_bounded_by_sqrt_factorial():
 BUDGET_CELLS = 2 ** 16
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch):
+def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch,
+                                                            run_traced):
     # order 4 at d = 8: 1024 rows of x⊗x per budget, n = 16 budgets of rows;
     # one unchunked n×d² block alone would take 16 budgets
     monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
     d = 8
     s = Sample(np.random.default_rng(51).standard_normal((16 * 1024, d)))
-    peak = _peak_bytes(lambda: empirical_moment(s, 4))
+    _, peak = run_traced(lambda: empirical_moment(s, 4))
     assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
 
 
-def test_one_budget_chunks_every_kernel(monkeypatch):
+def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
     # 1000 cells: 3 Efron replicates of n = 300 (25 in 9 chunks), 40 moment
-    # rows of d² = 25 cells (200 in 5 chunks) and 8 power starts of d³ = 125
-    # cells (33 in 5 blocks); each kernel must split under this one value
+    # rows of d² = 25 cells (200 in 5 chunks), 8 power starts of d³ = 125
+    # cells (33 in 5 blocks) and 3 half-space directions of 150 + 150
+    # projected rows (12 in 4 blocks); each kernel must split under this one
+    # value
     monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
     chunks = {}
 
@@ -510,11 +502,16 @@ def test_one_budget_chunks_every_kernel(monkeypatch):
     moment = empirical_moment(Sample(x), 4)
     np.testing.assert_allclose(moment.data, naive_moment(x, 4), rtol=1e-12)
     assert_matches_reference(moment)
+    sa = Sample(rng.standard_normal((150, 2)))
+    sb = Sample(rng.standard_normal((150, 2)) + 0.5)
+    assert distances.delta_H_hat(sa, sb, n_dirs=10, n_boot=0).value > 0.2
     assert chunks == {"_resample_counts": 9, "_unfolded_power_sum": 5,
                       "_power_block": 5}
+    assert projection_blocks == [3, 3, 3, 3]
 
 
-def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch):
+def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch,
+                                                          run_traced):
     # order 4 at d = 16: 264 starts of 16³ Kronecker cells are 16.5
     # budgets, iterated in blocks of 16 starts
     monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
@@ -522,5 +519,5 @@ def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch):
     data = symmetrize(np.random.default_rng(52).standard_normal((d,) * 4))
     t = MomentTensor(4, d, data)
     monkeypatch.setattr(tensors, "POWER_MAX_ITER", 3)
-    peak = _peak_bytes(lambda: operator_norm(t))
+    _, peak = run_traced(lambda: operator_norm(t))
     assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
