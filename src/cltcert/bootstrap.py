@@ -80,13 +80,20 @@ def _resample_means(centered: np.ndarray, b: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``b`` Efron resample means of the centered rows (conditional mean 0,
     covariance Σ̂/n), from ``_resample_counts`` in row chunks of at most
-    ``tensors.CHUNK_CELLS`` cells: the same draws as one b×n draw.  Each
-    chunk's counts are freed after its product, before the next chunk is
-    drawn."""
+    ``tensors.CHUNK_CELLS`` cells: the same draws as one b×n draw.  Every
+    chunk counts into one float block allocated per call, so beyond the
+    b×d means the working set is that block and one chunk's uint32 draw,
+    about 12 bytes per budget cell.  The uint32 draw needs n < 2³²."""
     n = centered.shape[0]
     step = max(1, tensors.CHUNK_CELLS // n)
-    return np.concatenate([_resample_counts(n, min(step, b - i), rng)
-                           @ centered / n for i in range(0, b, step)])
+    block = np.empty(min(step, b) * n)
+    means = np.empty((b, centered.shape[1]))
+    for i in range(0, b, step):
+        m = min(step, b - i)
+        np.matmul(_resample_counts(n, m, rng, block), centered,
+                  out=means[i:i + m])
+    means /= n
+    return means
 
 
 def _score_bootstrap(rows: np.ndarray, b: int, alpha: float,
@@ -123,6 +130,8 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     the bootstrap ball approximation on the W^{1/2}-transformed data.
     """
     _check_resampling(alpha, B)
+    if s.n < 2:  # every resample of a single row is that row
+        raise ValueError(f"need at least 2 rows, got {s.n}")
     w_spd = SpdMatrix.coerce(w)
     if w_spd.dim != s.dim:
         raise ValueError("W dimension does not match the sample")

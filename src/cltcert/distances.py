@@ -177,14 +177,29 @@ def _bootstrap_stderr(ra: np.ndarray, rb: np.ndarray, n_boot: int,
     order, rank_a, rank_b = _pooled_ranks(ra, rb)
     from_a = order < na
     a_order, b_order = order[from_a], order[~from_a] - na
-    # cum_x[r]: draws among the r smallest entries of x
-    cum_a = np.zeros(na + 1, dtype=np.int64)
-    cum_b = np.zeros(nb + 1, dtype=np.int64)
+    # every replicate reuses these buffers: one count row per sample, its
+    # counts in pooled order, cum_x[r] (draws among the r smallest entries
+    # of x: whole numbers, so exact in float) and x's ECDF at each distinct
+    # pooled value.  Every index is in range, and take's default
+    # mode="raise" would copy ``out`` on each call.
+    row_a, row_b = np.empty(na), np.empty(nb)
+    sorted_a, sorted_b = np.empty(na), np.empty(nb)
+    cum_a, cum_b = np.zeros(na + 1), np.zeros(nb + 1)
+    ecdf_a, ecdf_b = np.empty(rank_a.size), np.empty(rank_b.size)
     vals = np.empty(n_boot)
     for k in range(n_boot):
-        np.cumsum(_resample_counts(na, 1, rng)[0, a_order], out=cum_a[1:])
-        np.cumsum(_resample_counts(nb, 1, rng)[0, b_order], out=cum_b[1:])
-        vals[k] = np.abs(cum_a[rank_a] / na - cum_b[rank_b] / nb).max()
+        np.take(_resample_counts(na, 1, rng, row_a), a_order, out=sorted_a,
+                mode="clip")
+        np.cumsum(sorted_a, out=cum_a[1:])
+        np.take(_resample_counts(nb, 1, rng, row_b), b_order, out=sorted_b,
+                mode="clip")
+        np.cumsum(sorted_b, out=cum_b[1:])
+        np.take(cum_a, rank_a, out=ecdf_a, mode="clip")
+        np.take(cum_b, rank_b, out=ecdf_b, mode="clip")
+        ecdf_a /= na
+        ecdf_b /= nb
+        ecdf_a -= ecdf_b
+        vals[k] = np.abs(ecdf_a, out=ecdf_a).max()
     return float(vals.std(ddof=1))
 
 
@@ -193,9 +208,10 @@ def _sup_ks(sa: Sample, sb: Sample, pairs, n_boot: int,
     """Max of the exact 1-D KS statistic over the candidate ``(a, b)``
     pairs, the first on a tie, with the bootstrap stderr at that pair.
 
-    The best pair is kept as a copy, and each pair is dropped before the
-    next is drawn, so a pair that is a view into a larger block does not
-    keep that block alive while ``pairs`` builds the next one."""
+    The best pair is kept as a copy: a pair may be a view into a buffer
+    that ``pairs`` overwrites when it builds the next block.  Each pair is
+    dropped before the next is drawn, so a pair that is a fresh array is
+    freed first."""
     best_val, best = -1.0, None
     for a, b in pairs:
         val = ks_two_sample_1d(a, b)
@@ -271,13 +287,21 @@ def _projections(xa: np.ndarray, xb: np.ndarray, dirs: np.ndarray):
     ``x @ block.T``, the orientation of one product over all directions,
     whose bits it repeats (checked at d ≤ 16); with OpenBLAS 0.3.31 the
     transposed ``block @ x.T`` rounds some entries differently once a block
-    is 16 directions wide.  The rows yielded are strided views into the
-    block.
+    is 16 directions wide.  Every block's two products are written into one
+    buffer allocated per call, so no block allocates; the rows yielded are
+    strided views into that buffer, valid until the next block is built.
     """
     k = dirs.shape[0]
-    step = max(3, tensors.CHUNK_CELLS // (xa.shape[0] + xb.shape[0]))
-    for block in np.array_split(dirs, -(-k // step)):
-        yield from zip((xa @ block.T).T, (xb @ block.T).T)
+    na, nb = xa.shape[0], xb.shape[0]
+    step = max(3, tensors.CHUNK_CELLS // (na + nb))
+    blocks = np.array_split(dirs, -(-k // step))
+    buf = np.empty((na + nb) * blocks[0].shape[0])
+    for block in blocks:
+        m = block.shape[0]
+        pa = np.matmul(xa, block.T, out=buf[:na * m].reshape(na, m))
+        pb = np.matmul(xb, block.T,
+                       out=buf[na * m:(na + nb) * m].reshape(nb, m))
+        yield from zip(pa.T, pb.T)
 
 
 def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,

@@ -49,12 +49,23 @@ def substream(root_seed: int, name: str, index: int = 0) -> np.random.Generator:
 
 # kept out of __all__: the bench tracer wraps every exported name, and this
 # kernel runs once per resample chunk
-def _resample_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m×n counts of ``m`` Efron resamples: row r's n uniform index draws
-    are shifted by r·n, so one bincount over m·n cells counts every row."""
-    idx = rng.integers(0, n, size=(m, n))
-    idx += np.arange(0, m * n, n)[:, None]
-    return np.bincount(idx.ravel(), minlength=m * n).reshape(m, n)
+def _resample_counts(n: int, m: int, rng: np.random.Generator,
+                     out: np.ndarray) -> np.ndarray:
+    """m×n counts of ``m`` Efron resamples, written into ``out`` (float64,
+    at least m·n cells, overwritten) and returned as an (m, n) view of it.
+
+    Row r's n uniform index draws are shifted by r·n, so one ``np.add.at``
+    over m·n cells counts every row.  The draws are uint32, so n < 2³² and
+    m·n ≤ 2³² are required; below that numpy draws the same values, and
+    leaves the generator in the same state, for uint32 as for int64.  The
+    only block allocated here is the m×n uint32 draw: the counts go straight
+    into the caller's float block, ready for a GEMM with no cast copy."""
+    idx = rng.integers(0, n, size=(m, n), dtype=np.uint32)
+    idx[1:] += np.arange(n, m * n, n, dtype=np.uint32)[:, None]
+    counts = out[:m * n]
+    counts.fill(0.0)
+    np.add.at(counts, idx.reshape(-1), 1.0)
+    return counts.reshape(m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ Kronecker powers per row chunk, and ``operator_norm`` runs every power
 iteration start at once, one GEMM with the d×d^(k−1) unfolding per step.
 Both build their Kronecker blocks in pieces of at most ``CHUNK_CELLS``
 cells, so beyond the dense tensor itself their memory does not grow with n
-or with the number of starts.  The bootstrap's Efron kernel draws its count
-blocks, and the half-space search projects its samples onto blocks of
-directions, under the same budget.
+or with the number of starts.  The bootstrap's Efron kernel counts its
+resamples into one reused block, and the half-space search projects its
+samples onto blocks of directions, under the same budget.  The budget is
+2 MB of 8-byte cells, one core's L2 cache on the benchmark host, so a block
+is still in cache when its GEMM reads it.
 """
 
 from __future__ import annotations
@@ -267,10 +269,10 @@ class Sample:
 
 # cells of one block that a chunked kernel builds at once: the row-wise
 # Kronecker blocks (rows × d^m) of empirical_moment and operator_norm, the
-# count blocks (replicates × n) of bootstrap._resample_means and the
-# projection blocks (directions × pooled rows) of distances.delta_H_hat; 8 MB
-# of 8-byte cells
-CHUNK_CELLS = 2 ** 20
+# count block (replicates × n) of bootstrap._resample_means and the
+# projection blocks (directions × pooled rows) of distances.delta_H_hat; 2 MB
+# of 8-byte cells, one core's L2 cache on the benchmark host
+CHUNK_CELLS = 2 ** 18
 
 # operator_norm's power iteration: random starts beyond the canonical ones,
 # iteration cap per start, relative fixed-point tolerance, and the seed of

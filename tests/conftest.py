@@ -28,18 +28,20 @@ def projection_blocks(monkeypatch):
     """The widths of the blocks of directions that the half-space search
     projects onto, in order, filled in as ``delta_H_hat`` runs.
 
-    Each projection is a view into its block, so a new base marks a new
-    block; holding the last base keeps it from being reused."""
+    Each projection is a column of its block's C-order (rows, width)
+    product, so its stride gives the block's width, and a block is that
+    many projections in a row."""
     widths = []
     project = distances._projections
 
     def spy(xa, xb, dirs):
-        block = None
+        left = 0
         for a, b in project(xa, xb, dirs):
-            if a.base is not block:
-                block = a.base
-                widths.append(0)
-            widths[-1] += 1
+            if not left:
+                left = a.strides[0] // a.itemsize
+                widths.append(left)
+            assert b.strides == a.strides
+            left -= 1
             yield a, b
     monkeypatch.setattr(distances, "_projections", spy)
     return widths

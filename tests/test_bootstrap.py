@@ -28,15 +28,25 @@ from cltcert.tensors import Sample, SpdError
 @pytest.mark.parametrize("n", [300, 301])
 def test_resample_kernel_matches_one_shot_index_draw(monkeypatch, n):
     # a 1000-cell budget splits B = 25 replicates into chunks of 3 rows,
-    # the last one short; at n = 301 each chunk's m·n draws are odd
+    # the last one short; at n = 301 each chunk's m·n draws are odd.  The
+    # chunks' counts, copied before the next chunk overwrites the block,
+    # must be the one-shot int64 draw's counts exactly
     monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
+    blocks, count = [], bootstrap._resample_counts
+
+    def spy(*args):
+        block = count(*args)
+        blocks.append(block.copy())
+        return block
+    monkeypatch.setattr(bootstrap, "_resample_counts", spy)
     x = np.random.default_rng(8).standard_normal((n, 3))
-    c = x - x.mean(axis=0)
     rng = np.random.default_rng(9)
-    chunked = _resample_means(c, 25, rng)
+    _resample_means(x - x.mean(axis=0), 25, rng)
     one_shot = np.random.default_rng(9)
-    expected = c[one_shot.integers(0, n, size=(25, n))].mean(axis=1)
-    np.testing.assert_allclose(chunked, expected, rtol=1e-12)
+    draws = one_shot.integers(0, n, size=(25, n))
+    expected = np.stack([np.bincount(row, minlength=n) for row in draws])
+    assert [b.shape[0] for b in blocks] == [3] * 8 + [1]
+    assert np.array_equal(np.concatenate(blocks), expected)
     assert rng.bit_generator.state == one_shot.bit_generator.state
 
 
@@ -58,14 +68,16 @@ def test_resample_counts_follow_the_multinomial_law():
 
 def test_resample_kernel_memory_stays_within_the_chunk_budget(run_traced):
     # n·B is 8 chunk budgets; one B×n count matrix alone would take
-    # 8 bytes × 8 budgets
+    # 8 bytes × 8 budgets.  The kernel holds one float count block and one
+    # chunk's uint32 draw, 12 bytes per budget cell, beside a few n×d
+    # arrays
     b = 256
     n = 8 * tensors.CHUNK_CELLS // b
     s = sample_gaussian(np.eye(3), n, seed=4)
     res, peak = run_traced(
         lambda: bootstrap_ball_quantile(s, np.eye(3), alpha=0.1, B=b, seed=1))
     assert res.replicates.size == b
-    assert peak < 3 * 8 * tensors.CHUNK_CELLS
+    assert peak < 12 * tensors.CHUNK_CELLS + 8 * 4 * n * 3
 
 
 def test_efron_mean_and_covariance_identities_mc():

@@ -463,6 +463,22 @@ def test_bootstrap_ball_matches_library(score_csv, capsys):
     assert payload["certificate"] is None
 
 
+@pytest.mark.parametrize("test, message", [
+    ("ball", "need at least 2 rows, got 1"),
+    ("score", "need at least 2 score rows"),
+])
+def test_bootstrap_of_one_row_is_a_configuration_error(test, message,
+                                                       tmp_path, capsys):
+    # every Efron resample of one row is that row: the ball replicates
+    # would all be 0
+    path = tmp_path / "one_row.csv"
+    Sample(np.array([[0.5, 1.5]]), label="s").to_csv(str(path))
+    code, out, err = run_cli(
+        ["bootstrap", "--test", test, "--data", str(path), "--alpha", "0.1",
+         "--B", "200", "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
 def test_bootstrap_score_payload_contract(score_csv, capsys):
     code, out, _ = run_cli(
         ["bootstrap", "--test", "score", "--data", score_csv, "--alpha",

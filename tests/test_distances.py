@@ -258,7 +258,9 @@ def test_projections_repeat_the_one_shot_product(d, monkeypatch):
     want_a, want_b = (x @ dirs.T).T, (y @ dirs.T).T
     for budget in [tensors.CHUNK_CELLS] + _forced_budgets(40, 1038):
         monkeypatch.setattr(tensors, "CHUNK_CELLS", budget)
-        pa, pb = zip(*_projections(x, y, dirs))
+        # each pair is a view into a buffer that the next block overwrites
+        pa, pb = zip(*((a.copy(), b.copy())
+                       for a, b in _projections(x, y, dirs)))
         assert np.array_equal(pa, want_a) and np.array_equal(pb, want_b)
 
 

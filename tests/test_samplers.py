@@ -12,6 +12,7 @@ from cltcert.samplers import (
     FAMILIES,
     DistributionSpec,
     TwoPointLaw,
+    _resample_counts,
     alpha_law,
     construct_Y,
     sample_exponential_centered,
@@ -231,3 +232,39 @@ def test_substream_is_named_and_order_independent():
     np.testing.assert_array_equal(a0, a0_again)
     assert not np.allclose(a0, a1)
     assert not np.allclose(a0, b)
+
+
+# ---------------------------------------------------------------------------
+# Efron counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 301, 40_000, 40_001])
+@pytest.mark.parametrize("chunks", [(5,), (2, 2, 1), (1,) * 5])
+def test_uint32_index_draws_repeat_the_int64_draws(n, chunks):
+    # the counts kernel draws uint32 indices; numpy takes both dtypes
+    # through the same 32-bit path, so one-shot (5 rows at once) and
+    # chunked draws give the same values and the same generator state
+    wide, narrow = np.random.default_rng(11), np.random.default_rng(11)
+    for m in chunks:
+        a = wide.integers(0, n, size=(m, n))
+        b = narrow.integers(0, n, size=(m, n), dtype=np.uint32)
+        assert np.array_equal(a, b)
+        assert wide.bit_generator.state == narrow.bit_generator.state
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (6, 1), (300, 3),
+                                  (301, 3), (40_001, 2)])
+def test_resample_counts_equal_bincount_of_the_int64_draw(n, m):
+    ref = np.random.default_rng(12)
+    draws = ref.integers(0, n, size=(m, n))
+    expected = np.stack([np.bincount(row, minlength=n) for row in draws])
+    # stale values in the caller's block must not leak into the counts, and
+    # cells beyond m·n are left as they were
+    out = np.full(m * n + 3, 7.0)
+    rng = np.random.default_rng(12)
+    counts = _resample_counts(n, m, rng, out)
+    assert counts.shape == (m, n) and counts.dtype == np.float64
+    assert np.shares_memory(counts, out)
+    assert np.array_equal(counts, expected)
+    assert (out[m * n:] == 7.0).all()
+    assert rng.bit_generator.state == ref.bit_generator.state
