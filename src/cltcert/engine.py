@@ -849,11 +849,13 @@ def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
     """
     spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
     w = whiten(_centered(x), spd)
+    # the order-4 form is the largest: a d above its cap is refused before
+    # any other moment work
+    w4_op = _fourth_op(w, with_op_norms)
     f, o = _third_norms(empirical_moment(w, 3), with_op_norms)
     return MomentSummary(
         d=x.dim, n=n if n is not None else x.n, x_w3_frob=f, x_w3_op=o,
-        x_w4_mean=_fourth_mean(w), x_w4_op=_fourth_op(w, with_op_norms),
-        **_sigma_stats(spd))
+        x_w4_mean=_fourth_mean(w), x_w4_op=w4_op, **_sigma_stats(spd))
 
 
 def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
@@ -873,27 +875,27 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     spd_x = SpdMatrix.coerce(cx.covariance() if sigma is None else sigma)
     d, n = x.dim, n if n is not None else x.n
     if same_cov:
-        wx, wt = whiten(cx, spd_x), whiten(ct, spd_x)
-        f, o = _third_norms(empirical_moment(wx, 3) - empirical_moment(wt, 3),
-                            with_op_norms)
-        return MomentSummary(
-            d=d, n=n, dw3_frob=f, dw3_op=o,
-            x_w4_mean=_fourth_mean(wx), t_w4_mean=_fourth_mean(wt),
-            x_w4_op=_fourth_op(wx, with_op_norms),
-            t_w4_op=_fourth_op(wt, with_op_norms), **_sigma_stats(spd_x))
-    spd_t = SpdMatrix.coerce(ct.covariance() if sigma_t is None else sigma_t)
-    gap = spd_x.matrix - spd_t.matrix
+        cx, ct = whiten(cx, spd_x), whiten(ct, spd_x)
+    else:
+        spd_t = SpdMatrix.coerce(ct.covariance() if sigma_t is None
+                                 else sigma_t)
+    x4_op, t4_op = (_fourth_op(r, with_op_norms) for r in (cx, ct))
     f, o = _third_norms(empirical_moment(cx, 3) - empirical_moment(ct, 3),
                         with_op_norms)
+    x4_mean, t4_mean = _fourth_mean(cx), _fourth_mean(ct)
+    if same_cov:
+        return MomentSummary(
+            d=d, n=n, dw3_frob=f, dw3_op=o, x_w4_mean=x4_mean,
+            t_w4_mean=t4_mean, x_w4_op=x4_op, t_w4_op=t4_op,
+            **_sigma_stats(spd_x))
+    gap = spd_x.matrix - spd_t.matrix
     return MomentSummary(
         d=d, n=n, sigma_t_op=spd_t.operator_norm,
         sigma_t_min_eig=spd_t.min_eigenvalue,
         cov_gap_frob=float(np.linalg.norm(gap)),
         cov_gap_op=float(np.abs(np.linalg.eigvalsh(0.5 * (gap + gap.T))).max()),
-        d3_frob=f, d3_op=o,
-        x_c4_mean=_fourth_mean(cx), t_c4_mean=_fourth_mean(ct),
-        x_raw4_op=_fourth_op(cx, with_op_norms),
-        t_raw4_op=_fourth_op(ct, with_op_norms),
+        d3_frob=f, d3_op=o, x_c4_mean=x4_mean, t_c4_mean=t4_mean,
+        x_raw4_op=x4_op, t_raw4_op=t4_op,
         lambda0_sq=min(spd_x.min_eigenvalue, spd_t.min_eigenvalue),
         **_sigma_stats(spd_x))
 

@@ -1,25 +1,26 @@
-"""Dense moment tensors, SPD covariance wrappers and sample containers.
+"""Moment tensors in Sym² form, SPD covariance wrappers and sample containers.
 
-The quantities consumed by the bound engine are the third and fourth moment
-tensors E[X^{⊗k}] (k = 3, 4) together with two norms:
+The bound engine reads the third and fourth moments A_k = E[X^{⊗k}] through
+their Frobenius norm ‖A‖_F and symmetric operator norm
+‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩|.
 
-* Frobenius norm ‖A‖_F,
-* symmetric operator norm ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩|.
+A moment is held in the basis of symmetric d×d matrices (Nie & Wang, SIAM J.
+Matrix Anal. Appl. 35(3), 2014).  With D = d(d+1)/2, m(v) ∈ R^D holds the
+products v_i·v_j for i ≤ j (``np.triu_indices`` order), scaled by √2 off the
+diagonal, so that ⟨m(u), m(v)⟩ = ⟨u, v⟩².  Order 3 is the d×D matrix
+C = E[X m(X)ᵀ] and order 4 the D×D matrix G = E[m(X) m(X)ᵀ].  m is an
+isometry from symmetric matrices, so ‖C‖_F = ‖A₃‖_F and ‖G‖_F = ‖A₄‖_F, and
+both forms are linear in the moment.  A form holds at most 2^28 cells
+(d ≤ 180 at order 4).
 
-Everything is stored densely; a tensor may hold at most 2^28 entries
-(d ≤ 128 for order 4).
-
-The two hot kernels are matrix products on unfoldings.  ``empirical_moment``
-forms the d^⌊k/2⌋×d^⌈k/2⌉ unfolding of the moment as one GEMM of row-wise
-Kronecker powers per row chunk, and ``operator_norm`` runs every power
-iteration start at once, one GEMM with the d×d^(k−1) unfolding per step.
-Both build their Kronecker blocks in pieces of at most ``CHUNK_CELLS``
-cells, so beyond the dense tensor itself their memory does not grow with n
-or with the number of starts.  The bootstrap's Efron kernel counts its
-resamples into one reused block, and the half-space search projects its
-samples onto blocks of directions, under the same budget.  The budget is
-2 MB of 8-byte cells, one core's L2 cache on the benchmark host, so a block
-is still in cache when its GEMM reads it.
+``empirical_moment`` adds one GEMM per chunk of rows of the products
+x_i·x_j (i ≤ j) and scales the sum once, and ``operator_norm`` runs every
+power iteration start at once, one GEMM with C or G per step.  Both keep
+their blocks within ``CHUNK_CELLS`` cells, so beyond the form their memory
+grows with neither n nor the number of starts.
+The Efron kernel's count block and the half-space projection blocks share
+the budget: 2 MB of 8-byte cells, one core's L2 cache on the benchmark host,
+so a block is still in cache when its GEMM reads it.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ __all__ = [
     "hermite_interval_integral",
 ]
 
-# hard cap on dense tensor storage: d**order must stay below this
-MAX_DENSE_ENTRIES = 2 ** 28
+# hard cap on the cells of a moment form: d·D at order 3, D² at order 4
+MAX_FORM_CELLS = 2 ** 28
 
 # relative tolerance for the eigendecomposition reconstruction check
 SPD_RECONSTRUCTION_RTOL = 1e-10
@@ -63,25 +64,31 @@ class SpdError(ValueError):
     """Raised when a matrix fails the symmetric-positive-definite contract."""
 
 
-def _check_dense_size(order: int, dim: int) -> None:
+def _form_shape(order: int, dim: int) -> tuple:
+    """Shape of the Sym² form of an order-k tensor on R^d: (d, D) at order 3,
+    (D, D) at order 4, at most ``MAX_FORM_CELLS`` cells."""
     if dim <= 0:
         raise TensorShapeError(f"dim must be positive, got {dim}")
-    if order < 1:
-        raise TensorShapeError(f"order must be >= 1, got {order}")
-    if dim ** order > MAX_DENSE_ENTRIES:
+    if order not in (3, 4):
+        raise TensorShapeError(f"order must be 3 or 4, got {order}")
+    sym = dim * (dim + 1) // 2
+    shape = (dim if order == 3 else sym, sym)
+    if shape[0] * shape[1] > MAX_FORM_CELLS:
         raise TensorShapeError(
-            f"dense tensor of order {order} and dim {dim} would need "
-            f"{dim ** order} > {MAX_DENSE_ENTRIES} entries"
+            f"the order-{order} moment form at dim {dim} would need "
+            f"{shape[0] * shape[1]} > {MAX_FORM_CELLS} cells"
         )
+    return shape
 
 
 @dataclass(frozen=True)
 class MomentTensor:
-    """A dense order-k tensor on R^d, typically a moment E[X^{⊗k}].
+    """A symmetric order-k tensor on R^d (k = 3, 4), typically a moment
+    E[X^{⊗k}], held in its Sym² form.
 
-    ``data`` has shape ``(dim,) * order``.  Entries are stored in full even
-    for symmetric tensors; symmetry is the common case but not enforced,
-    since differences of moment tensors remain symmetric anyway.
+    ``data`` is the d×D matrix C with A(·, v, v) = C·m(v) at order 3 and the
+    symmetric D×D matrix G with ⟨A, v^{⊗4}⟩ = m(v)ᵀ G m(v) at order 4 (see
+    the module docstring for m).
     """
 
     order: int
@@ -89,12 +96,10 @@ class MomentTensor:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_dense_size(self.order, self.dim)
+        shape = _form_shape(self.order, self.dim)
         arr = np.asarray(self.data, dtype=float)
-        if arr.shape != (self.dim,) * self.order:
-            raise TensorShapeError(
-                f"expected shape {(self.dim,) * self.order}, got {arr.shape}"
-            )
+        if arr.shape != shape:
+            raise TensorShapeError(f"expected shape {shape}, got {arr.shape}")
         object.__setattr__(self, "data", arr)
 
     # ---- algebra ---------------------------------------------------------
@@ -108,15 +113,17 @@ class SpdMatrix:
     """A symmetric positive-definite matrix with a cached eigendecomposition.
 
     The decomposition is computed once at construction and validated:
-    the input must be symmetric (up to a scaled tolerance), every eigenvalue
-    must be strictly positive, and Q diag(λ) Qᵀ must reproduce the input to
-    1e-10 relative Frobenius error.
+    every entry must be finite, the input must be symmetric (up to a scaled
+    tolerance), every eigenvalue must be strictly positive, and
+    Q diag(λ) Qᵀ must reproduce the input to 1e-10 relative Frobenius error.
     """
 
     def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpdError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise SpdError("matrix has non-finite entries")
         scale = float(np.abs(m).max()) if m.size else 0.0
         if scale == 0.0:
             raise SpdError("zero matrix is not positive definite")
@@ -267,8 +274,8 @@ class Sample:
 # moment computation and norms
 # --------------------------------------------------------------------------
 
-# cells of one block that a chunked kernel builds at once: the row-wise
-# Kronecker blocks (rows × d^m) of empirical_moment and operator_norm, the
+# cells of one block that a chunked kernel builds at once: the p(x) blocks
+# (D × rows) of empirical_moment, the start blocks of operator_norm, the
 # count block (replicates × n) of bootstrap._resample_means and the
 # projection blocks (directions × pooled rows) of distances.delta_H_hat; 2 MB
 # of 8-byte cells, one core's L2 cache on the benchmark host
@@ -283,47 +290,55 @@ POWER_TOL = 1e-12
 POWER_SEED = 0
 
 
-def _kron_rows(x: np.ndarray, power: int) -> np.ndarray:
-    """Row-wise Kronecker power (power ≥ 1): row i is x_i^{⊗power} flattened
-    in C order, so that it pairs with a C-order unfolding of a dense
-    tensor."""
-    out = x
-    for _ in range(power - 1):
-        out = (out[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+def _sym2_basis(d: int):
+    """The pairs i ≤ j of the Sym² coordinates and their weights w (1 on the
+    diagonal, √2 off it): m(v) = w ∘ p(v) for the products p(v) = v_i·v_j."""
+    i, j = np.triu_indices(d)
+    return i, j, np.where(i == j, 1.0, math.sqrt(2.0))
+
+
+def _pair_products(xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p(x) for every column x of ``xt`` (d × rows), written into ``out``
+    (D × rows) one slice of contiguous rows at a time, so no temporary of
+    the block's size is made."""
+    d, col = xt.shape[0], 0
+    for i in range(d):
+        np.multiply(xt[i], xt[i:], out=out[col:col + d - i])
+        col += d - i
     return out
 
 
-def _unfolded_power_sum(block: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ over the rows of ``block``: a d^a×d^b GEMM
-    (one Kronecker block serves both sides when a = b)."""
-    right = _kron_rows(block, b)
-    left = right if a == b else _kron_rows(block, a)
-    return left.T @ right
-
-
-def _check_order(order: int) -> None:
-    if order not in (3, 4):
-        raise ValueError(f"order must be 3 or 4, got {order}")
-
-
 def empirical_moment(sample: Sample, order: int) -> MomentTensor:
-    """Average outer power n^{-1} Σ_i x_i^{⊗k} as a dense tensor.
+    """Average outer power n^{-1} Σ_i x_i^{⊗k} in its Sym² form.
 
-    Writing k = a + b with a = ⌊k/2⌋, the d^a×d^b unfolding of the moment is
-    the GEMM Σ_i (x_i^{⊗a})(x_i^{⊗b})ᵀ, accumulated over row chunks whose
-    Kronecker blocks stay within ``CHUNK_CELLS`` cells.  Only orders 3 and 4
-    are accepted: they are the moments the bounds read.
+    Per chunk of rows whose D × rows block of products p(x) stays within
+    ``CHUNK_CELLS`` cells, one GEMM adds Σ x_i p(x_i)ᵀ (order 3) or
+    Σ p(x_i) p(x_i)ᵀ (order 4).  The chunk is transposed first, so every
+    product is a contiguous row; the transposed chunk, the block and the
+    GEMM's product are reused across chunks, and the weights of m = w ∘ p
+    scale the sum once.  Only orders 3 and 4 are accepted: they are the
+    moments the bounds read.
     """
-    _check_order(order)
-    _check_dense_size(order, sample.dim)
-    x = sample.data
-    n, d = x.shape
-    a, b = order // 2, order - order // 2
-    step = max(1, CHUNK_CELLS // d ** b)
-    acc = np.zeros((d ** a, d ** b))
+    shape = _form_shape(order, sample.dim)
+    x, n, d, sym = sample.data, sample.n, sample.dim, shape[1]
+    step = max(1, min(n, CHUNK_CELLS // sym))
+    xt_buf, block_buf = np.empty(d * step), np.empty(sym * step)
+    acc = np.zeros(shape)
+    prod = np.empty(shape)
     for start in range(0, n, step):
-        acc += _unfolded_power_sum(x[start:start + step], a, b)
-    return MomentTensor(order, d, (acc / n).reshape((d,) * order))
+        rows = x[start:start + step]
+        r = rows.shape[0]
+        xt = xt_buf[:d * r].reshape(d, r)
+        np.copyto(xt, rows.T)
+        p = _pair_products(xt, block_buf[:sym * r].reshape(sym, r))
+        np.matmul(xt if order == 3 else p, p.T, out=prod)
+        acc += prod
+    acc /= n
+    w = _sym2_basis(d)[2]
+    acc *= w
+    if order == 4:
+        acc *= w[:, None]
+    return MomentTensor(order, d, acc)
 
 
 def frobenius_norm(tensor: MomentTensor) -> float:
@@ -356,21 +371,32 @@ def _power_starts(d: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _power_block(unfolded: np.ndarray, v: np.ndarray, order: int,
+def _power_block(form: np.ndarray, v: np.ndarray, order: int,
                  shift: float):
-    """Shifted power iteration of the rows of ``v`` on A, where ``unfolded``
-    is the d×d^(k−1) unfolding of A.  Returns, per start, the final Rayleigh
-    value f(v) = ⟨A, v^{⊗k}⟩, its iteration count and whether it met the
+    """Shifted power iteration of the rows of ``v`` on A, where ``form`` is
+    the Sym² form of A.  Returns, per start, the final Rayleigh value
+    f(v) = ⟨A, v^{⊗k}⟩, its iteration count and whether it met the
     fixed-point test; a start stops as soon as it converges or its update
     vanishes."""
-    def contract(rows):
-        # A·v^{⊗(k−1)} for every row v: one GEMM on the unfolding
-        return _kron_rows(rows, order - 1) @ unfolded.T
+    s, d = v.shape
+    iu, ju, weight = _sym2_basis(d)
+    u_block = np.empty((s, d, d)) if order == 4 else None
 
-    fval = np.empty(v.shape[0])
-    iters = np.full(v.shape[0], POWER_MAX_ITER)
-    converged = np.zeros(v.shape[0], dtype=bool)
-    active = np.arange(v.shape[0])
+    def contract(rows):
+        # A(·, v, …, v) for every row v, through m(v) and one GEMM; the
+        # starts are few, so m(v) is one fancy product
+        m = rows[:, iu] * rows[:, ju] * weight
+        if order == 3:
+            return m @ form.T
+        # G·m(v) is m(U(v)) for the symmetric U(v) = A(·, ·, v, v)
+        u = u_block[:rows.shape[0]]
+        u[:, iu, ju] = u[:, ju, iu] = m @ form / weight
+        return np.matmul(u, rows[:, :, None])[:, :, 0]
+
+    fval = np.empty(s)
+    iters = np.full(s, POWER_MAX_ITER)
+    converged = np.zeros(s, dtype=bool)
+    active = np.arange(s)
     g = contract(v)
     f = np.einsum("ij,ij->i", g, v)
     for it in range(POWER_MAX_ITER):
@@ -405,26 +431,26 @@ def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
     basis vectors, normalized e_i ± e_j pairs (small d) and
     ``POWER_RESTARTS`` random unit starts, keeping the largest stationary
     |f(v)| = |⟨A, v^{⊗k}⟩|.  All starts iterate together as the rows of one
-    matrix: a step is one GEMM of their row-wise Kronecker powers with the
-    d×d^(k−1) unfolding of A, in blocks of rows that keep the Kronecker
-    powers within ``CHUNK_CELLS`` cells, and a start leaves its block
-    once it converges.  The result is always a lower bound on the true
-    norm; ``converged`` reports whether every start reached the fixed-point
-    tolerance, and ``iterations`` sums the steps of all starts.  Only
-    orders 3 and 4 are accepted.  An order-4 input must be a fourth-moment
-    tensor, whose form 𝔼⟨X, v⟩⁴ is never negative: for any other order-4
-    tensor the result can miss a negative extreme of f.
+    matrix, contracted through the Sym² form: A(·, v, v) = C·m(v) at order
+    3, and A(·, v, v, v) = U(v)·v at order 4, where the symmetric d×d U(v)
+    is read off G·m(v).  A step is one GEMM with the form, in blocks of
+    starts whose U(v) fit in ``CHUNK_CELLS`` cells, and a start leaves its
+    block once it converges.  The result is always a lower bound on the
+    true norm; ``converged`` reports whether every start reached the
+    fixed-point tolerance, and ``iterations`` sums the steps of all starts.
+    An order-4 input must be a fourth-moment tensor, whose form 𝔼⟨X, v⟩⁴ is
+    never negative: for any other order-4 tensor the result can miss a
+    negative extreme of f.
     """
     k, d, data = tensor.order, tensor.dim, tensor.data
-    _check_order(k)
     v = _power_starts(d)
     # monotonicity shift: |f''| along the sphere is bounded by k(k-1)·‖A‖_F,
     # so this shift convexifies the update for every start
     shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
-    unfolded = data.reshape(d, d ** (k - 1))
-    step = max(1, CHUNK_CELLS // d ** (k - 1))
+    # a block's m(v) rows, G·m(v) and U(v) each fit in CHUNK_CELLS cells
+    step = max(1, CHUNK_CELLS // (d * d))
     fval, iters, converged = (np.concatenate(parts) for parts in zip(*(
-        _power_block(unfolded, v[i:i + step], k, shift)
+        _power_block(data, v[i:i + step], k, shift)
         for i in range(0, v.shape[0], step))))
     return OperatorNormResult(float(np.nanmax(np.abs(fval), initial=0.0)),
                               bool(converged.all()), int(iters.sum()))

@@ -135,6 +135,43 @@ def test_bound_infeasible_certificate_exits_3(tmp_path, capsys):
         assert "infeasible" in err
 
 
+def test_bound_refuses_a_fourth_moment_form_above_the_cap(tmp_path, capsys):
+    # d = 200: the order-4 form would hold D² = 20100² cells, above
+    # MAX_FORM_CELLS; the refusal depends on d only, so few rows suffice
+    path = tmp_path / "wide.csv"
+    Sample(np.random.default_rng(5).standard_normal((256, 200))).to_csv(
+        str(path))
+    code, out, err = run_cli(["bound", "--theorem", "halfspace-normal",
+                              "--from-sample", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: the order-4 moment form at dim 200 "
+                   "would need 404010000 > 268435456 cells\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--sigma", ["bound", "--theorem", "ball-normal", "--from-sample", "A"]),
+    ("--sigma-t", ["bound", "--theorem", "ball-diff-cov", "--from-sample",
+                   "A", "--second-sample", "B"]),
+    ("--weight", ["bootstrap", "--test", "ball", "--data", "A", "--alpha",
+                  "0.1", "--B", "200", "--seed", "1"]),
+    ("--info", ["score-test", "--data", "A", "--alpha", "0.05"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_non_finite_matrix_flag_exits_2(flag, argv, value, tmp_path,
+                                        gaussian_csvs, capsys):
+    # the entry is refused as non-finite before any other check: an inf
+    # once gave a NaN quantile and a NaN was called "not symmetric"
+    matrix = np.eye(2)
+    matrix[0, 1] = float(value)
+    path = tmp_path / "m.csv"
+    np.savetxt(str(path), matrix, delimiter=",")
+    files = dict(zip("AB", gaussian_csvs))
+    code, out, err = run_cli([files.get(v, v) for v in argv]
+                             + [flag, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "configuration error: matrix has non-finite entries\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_bound_rejects_non_finite_moment_summary(value, tmp_path, capsys):
     # json writes NaN and ±Infinity, which are not valid JSON but parse

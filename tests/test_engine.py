@@ -1,7 +1,6 @@
 """Bound engine: h-functions, all bound formulas, β search, constants."""
 
 import dataclasses
-import itertools
 import json
 import math
 
@@ -34,13 +33,13 @@ from cltcert.engine import (
 )
 from cltcert.samplers import sample_gaussian
 from cltcert.tensors import (
-    MomentTensor,
     Sample,
     SpdMatrix,
     empirical_moment,
     operator_norm,
     whiten,
 )
+from dense import dense_moment, sym2_form, symmetrize
 
 SQRT6 = math.sqrt(6.0)
 
@@ -599,12 +598,6 @@ def test_builders_build_operator_norms_only_when_asked():
     assert bound_ball_normal(bare).total == bound_ball_normal(full).total
 
 
-def _symmetric_order3(rng, d):
-    a = rng.standard_normal((d, d, d))
-    return sum(np.transpose(a, p)
-               for p in itertools.permutations(range(3))) / 6.0
-
-
 def test_frobenius_envelope_is_never_above_the_others():
     # ‖A‖_F ≤ d·‖A‖ (slice A into d matrices; Banach 1938) and
     # ‖A‖_F ≤ max|a|·√nonzero (Cauchy–Schwarz): the sample builders set only
@@ -612,15 +605,15 @@ def test_frobenius_envelope_is_never_above_the_others():
     # first also checks that operator_norm's lower estimate is within a
     # factor d of the norm.
     rng = np.random.default_rng(50)
-    tensors = [MomentTensor(3, d, _symmetric_order3(rng, d))
-               for d in (2, 3, 5, 8) for _ in range(5)]
+    dense = [symmetrize(rng.standard_normal((d, d, d)))
+             for d in (2, 3, 5, 8) for _ in range(5)]
+    cases = [(a, sym2_form(a)) for a in dense]
     # the whitened third moment of the golden file's X sample
     x = np.random.default_rng(20).exponential(size=(3000, 3)) - 1.0
     xc = Sample(x - x.mean(axis=0))
     w = whiten(xc, SpdMatrix(xc.covariance()))
-    tensors.append(empirical_moment(w, 3))
-    for t in tensors:
-        a = t.data
+    cases.append((dense_moment(w.data, 3), empirical_moment(w, 3)))
+    for a, t in cases:
         frob = math.sqrt(float(np.sum(a * a)))
         assert frob <= t.dim * operator_norm(t).value * (1.0 + 1e-12), t.dim
         assert frob <= (float(np.abs(a).max())

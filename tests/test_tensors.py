@@ -22,14 +22,7 @@ from cltcert.tensors import (
     operator_norm,
     whiten,
 )
-
-
-def symmetrize(data):
-    k = data.ndim
-    out = np.zeros_like(data)
-    for perm in itertools.permutations(range(k)):
-        out += np.transpose(data, perm)
-    return out / math.factorial(k)
+from dense import dense_moment, sym2_form, symmetrize
 
 
 def naive_moment(x, k):
@@ -49,10 +42,11 @@ def _contract_to_vector(data, v, order):
     return out
 
 
-def reference_operator_norm(tensor, n_restarts=8, max_iter=200, tol=1e-12,
+def reference_operator_norm(data, n_restarts=8, max_iter=200, tol=1e-12,
                             seed=0):
-    """The power iteration one start at a time: (value, converged, iterations)."""
-    k, d, data = tensor.order, tensor.dim, tensor.data
+    """The power iteration one start at a time on a dense tensor:
+    (value, converged, iterations)."""
+    k, d = data.ndim, data.shape[0]
     rng = np.random.default_rng(seed)
     starts = [e for e in np.eye(d)]
     if d <= 16:
@@ -91,10 +85,12 @@ def reference_operator_norm(tensor, n_restarts=8, max_iter=200, tol=1e-12,
     return best, all_converged, total_iters
 
 
-def assert_matches_reference(tensor):
-    res = operator_norm(tensor)
+def assert_matches_reference(dense, tensor=None):
+    """operator_norm of ``tensor`` (by default the form of ``dense``) has the
+    value, convergence and iteration count of the dense per-start loop."""
+    res = operator_norm(sym2_form(dense) if tensor is None else tensor)
     value, converged, iterations = reference_operator_norm(
-        tensor, tensors.POWER_RESTARTS, tensors.POWER_MAX_ITER,
+        dense, tensors.POWER_RESTARTS, tensors.POWER_MAX_ITER,
         tensors.POWER_TOL, tensors.POWER_SEED)
     assert res.iterations == iterations
     assert res.converged == converged
@@ -107,14 +103,20 @@ def assert_matches_reference(tensor):
 # ---------------------------------------------------------------------------
 
 def test_moment_tensor_shape_validation():
+    # the forms are d×D and D×D, D = d(d+1)/2: a dense tensor is refused
+    MomentTensor(3, 2, np.zeros((2, 3)))
+    MomentTensor(4, 2, np.zeros((3, 3)))
     with pytest.raises(TensorShapeError):
-        MomentTensor(3, 2, np.zeros((2, 2)))
+        MomentTensor(3, 2, np.zeros((2, 2, 2)))
     with pytest.raises(TensorShapeError):
-        MomentTensor(2, 3, np.ones(8))
-    # order-6 in d=22 is the largest admissible dense tensor
-    MomentTensor(6, 22, np.zeros((22,) * 6))
-    with pytest.raises(TensorShapeError):
-        MomentTensor(6, 30, np.zeros(1))
+        MomentTensor(4, 3, np.zeros((3, 6)))
+    with pytest.raises(TensorShapeError, match="order must be 3 or 4"):
+        MomentTensor(2, 3, np.ones((3, 3)))
+    # order 4 at d = 180 (D = 16290) is the largest admissible form, and
+    # its D² cap is checked before any array is looked at
+    assert tensors._form_shape(4, 180) == (16290, 16290)
+    with pytest.raises(TensorShapeError, match="cells"):
+        MomentTensor(4, 181, np.zeros(1))
 
 
 def test_empirical_moment_matches_naive_loop():
@@ -123,39 +125,59 @@ def test_empirical_moment_matches_naive_loop():
     s = Sample(x)
     for k in (3, 4):
         t = empirical_moment(s, k)
-        np.testing.assert_allclose(t.data, naive_moment(x, k), rtol=1e-12)
+        np.testing.assert_allclose(t.data, sym2_form(naive_moment(x, k)).data,
+                                   rtol=1e-12)
     # the bounds read the third and fourth moments only
     for k in (1, 2, 5):
         with pytest.raises(ValueError, match="order must be 3 or 4"):
             empirical_moment(s, k)
         with pytest.raises(ValueError, match="order must be 3 or 4"):
-            operator_norm(MomentTensor(k, 3, naive_moment(x, k)))
+            MomentTensor(k, 3, np.zeros((3, 6)))
 
 
 def test_empirical_moment_accumulates_many_chunks(monkeypatch):
-    # rows per chunk: 7 by a 175-cell budget, then 5 by a 125-cell budget
-    # (d² = 25 cells per row at both orders)
+    # rows per chunk: 7 by a 105-cell budget, then 5 by a 75-cell budget
+    # (D = 15 cells of p(x) per row at both orders)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 5))
     s = Sample(x)
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 25)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 15)
     for k in (3, 4):
         np.testing.assert_allclose(empirical_moment(s, k).data,
-                                   naive_moment(x, k), rtol=1e-12)
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 125)
+                                   sym2_form(naive_moment(x, k)).data,
+                                   rtol=1e-12)
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 75)
     for k in (3, 4):
         np.testing.assert_allclose(empirical_moment(s, k).data,
-                                   naive_moment(x, k), rtol=1e-12)
+                                   sym2_form(naive_moment(x, k)).data,
+                                   rtol=1e-12)
 
 
 def test_empirical_moment_centering_and_chunking(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((1000, 2)) + 5.0
     xc = x - x.mean(axis=0)
-    # 128 rows of d² = 4 cells per chunk
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 128 * 4)
+    # 128 rows of D = 3 cells per chunk
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 128 * 3)
     t = empirical_moment(Sample(xc), 4)
-    np.testing.assert_allclose(t.data, naive_moment(xc, 4), rtol=1e-10)
+    np.testing.assert_allclose(t.data, sym2_form(naive_moment(xc, 4)).data,
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 17])
+def test_forms_keep_the_frobenius_norm_and_the_unfolding_spectrum(d):
+    # m is an isometry from symmetric matrices: ‖C‖_F = ‖A₃‖_F,
+    # ‖G‖_F = ‖A₄‖_F, and G is the d²×d² unfolding of A₄ restricted to
+    # symmetric matrices, which hold its range
+    x = np.random.default_rng(400 + d).exponential(size=(2000, d)) - 1.0
+    for k in (3, 4):
+        form, dense = empirical_moment(Sample(x), k), dense_moment(x, k)
+        assert frobenius_norm(form) == pytest.approx(
+            math.sqrt(float(np.sum(dense ** 2))), rel=1e-12)
+        np.testing.assert_allclose(form.data, sym2_form(dense).data,
+                                   rtol=1e-9, atol=1e-12)
+    assert np.linalg.eigvalsh(form.data)[-1] == pytest.approx(
+        np.linalg.eigvalsh(dense.reshape(d * d, d * d))[-1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +185,38 @@ def test_empirical_moment_centering_and_chunking(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_frobenius_max_nonzero():
-    # ‖A‖_F = √(3² + 4²) = 5 is below max|a|·√nonzero = 4·√2; the two are
-    # equal only when the nonzero entries share one magnitude
+    # ‖A‖_F = √(3·2² + 6²) = √48 is below max|a|·√nonzero = 6·√4; the two
+    # are equal only when the nonzero entries share one magnitude
     data = np.zeros((3, 3, 3))
-    data[0, 1, 2] = 3.0
-    data[2, 2, 2] = -4.0
-    t = MomentTensor(3, 3, data)
-    assert frobenius_norm(t) == pytest.approx(5.0)
+    for i in set(itertools.permutations((0, 0, 1))):
+        data[i] = 2.0
+    data[2, 2, 2] = -6.0
+    t = sym2_form(data)
+    assert frobenius_norm(t) == pytest.approx(math.sqrt(48.0))
     assert frobenius_norm(t) < np.abs(data).max() * math.sqrt(
         np.count_nonzero(data))
 
 
-def _whitened_moment(rng, d, k):
+def _whitened_rows(rng, d):
     x = rng.exponential(size=(2000, d)) - 1.0
     xc = Sample(x - x.mean(axis=0))
-    return empirical_moment(whiten(xc, SpdMatrix(xc.covariance())), k)
+    return whiten(xc, SpdMatrix(xc.covariance()))
 
 
 @pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("d", [2, 5, 17])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 17])
 def test_operator_norm_matches_per_start_loop(d, k, monkeypatch):
+    # the form built by empirical_moment against the dense per-start loop;
     # d = 17 has no e_i ± e_j starts; random symmetric tensors converge on
     # some starts and not on others
     rng = np.random.default_rng(100 * d + k)
-    assert_matches_reference(_whitened_moment(rng, d, k))
+    w = _whitened_rows(rng, d)
+    assert_matches_reference(dense_moment(w.data, k), empirical_moment(w, k))
     if d < 17:
         data = symmetrize(rng.standard_normal((d,) * k))
         monkeypatch.setattr(tensors, "POWER_RESTARTS", 3)
         monkeypatch.setattr(tensors, "POWER_SEED", 5)
-        assert_matches_reference(MomentTensor(k, d, data))
+        assert_matches_reference(data)
 
 
 # operator_norm(...).value of the whitened moments of 2000 centered
@@ -216,20 +241,21 @@ def test_operator_norm_matches_golden_values(d):
 
 
 def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
-    # 33 starts of 125-cell Kronecker rows in blocks of 7
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 125)
+    # 33 starts of d² = 25-cell U(v) in blocks of 7
+    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 25)
     rng = np.random.default_rng(7)
-    assert_matches_reference(_whitened_moment(rng, 5, 4))
+    w = _whitened_rows(rng, 5)
+    assert_matches_reference(dense_moment(w.data, 4), empirical_moment(w, 4))
     monkeypatch.setattr(tensors, "CHUNK_CELLS", 1)
     monkeypatch.setattr(tensors, "POWER_MAX_ITER", 40)
-    assert_matches_reference(_whitened_moment(rng, 3, 3))
+    w = _whitened_rows(rng, 3)
+    assert_matches_reference(dense_moment(w.data, 3), empirical_moment(w, 3))
 
 
 def test_operator_norm_zero_tensor_converges_in_one_step():
     # every start is a fixed point of w = A·v^⊗(k−1) + shift·v when A = 0
     for k in (3, 4):
-        zero = MomentTensor(k, 3, np.zeros((3,) * k))
-        res = assert_matches_reference(zero)
+        res = assert_matches_reference(np.zeros((3,) * k))
         assert (res.value, res.converged) == (0.0, True)
         assert res.iterations == 3 + 6 + 8
 
@@ -238,7 +264,7 @@ def test_operator_norm_rank_one_order3():
     # ⟨u⊗u⊗u, v⊗v⊗v⟩ = ⟨u,v⟩³ is maximized at v = u/‖u‖, value ‖u‖³
     rng = np.random.default_rng(22)
     u = rng.standard_normal(4)
-    t = MomentTensor(3, 4, np.einsum("i,j,k->ijk", u, u, u))
+    t = sym2_form(np.einsum("i,j,k->ijk", u, u, u))
     res = operator_norm(t)
     assert res.value == pytest.approx(np.linalg.norm(u) ** 3, rel=1e-9)
 
@@ -250,7 +276,7 @@ def test_operator_norm_diagonal_order3():
     data = np.zeros((d, d, d))
     for i in range(d):
         data[i, i, i] = diag[i]
-    res = operator_norm(MomentTensor(3, d, data))
+    res = operator_norm(sym2_form(data))
     assert res.value == pytest.approx(2.5, rel=1e-9)
 
 
@@ -261,7 +287,7 @@ def test_operator_norm_gaussian_fourth_moment():
     data = (np.einsum("ij,kl->ijkl", eye, eye)
             + np.einsum("ik,jl->ijkl", eye, eye)
             + np.einsum("il,jk->ijkl", eye, eye))
-    res = operator_norm(MomentTensor(4, d, data))
+    res = operator_norm(sym2_form(data))
     assert res.converged
     assert res.value == pytest.approx(3.0, rel=1e-9)
 
@@ -273,7 +299,7 @@ def test_operator_norm_even_order_negative_part():
     data = -(np.einsum("ij,kl->ijkl", eye, eye)
              + np.einsum("ik,jl->ijkl", eye, eye)
              + np.einsum("il,jk->ijkl", eye, eye))
-    res = operator_norm(MomentTensor(4, d, data))
+    res = operator_norm(sym2_form(data))
     assert res.value == pytest.approx(3.0, rel=1e-9)
 
 
@@ -283,7 +309,7 @@ def test_operator_norm_vs_grid_search_d2():
     for trial in range(5):
         raw = rng.standard_normal((2, 2, 2))
         data = symmetrize(raw)
-        t = MomentTensor(3, 2, data)
+        t = sym2_form(data)
         theta = np.linspace(0.0, 2.0 * np.pi, 200001)
         v = np.stack([np.cos(theta), np.sin(theta)])
         vals = np.einsum("ijk,ia,ja,ka->a", data, v, v, v)
@@ -297,7 +323,7 @@ def test_operator_norm_dominates_max_norm_scaled():
     # ‖A‖ ≥ |a_{i...i}| at canonical starts: certified lower-bound property
     rng = np.random.default_rng(24)
     data = symmetrize(rng.standard_normal((3, 3, 3, 3)))
-    t = MomentTensor(4, 3, data)
+    t = sym2_form(data)
     res = operator_norm(t)
     assert res.value >= max(abs(data[i, i, i, i]) for i in range(3)) - 1e-12
     assert res.value <= frobenius_norm(t) + 1e-12
@@ -455,27 +481,33 @@ def test_hermite_integral_bounded_by_sqrt_factorial():
 
 
 # ---------------------------------------------------------------------------
-# memory: Kronecker blocks stay within the cell budget
+# memory: p(x) and start blocks stay within the cell budget
 # ---------------------------------------------------------------------------
 
-BUDGET_CELLS = 2 ** 16
+BUDGET_CELLS = 2 ** 14
+
+# bytes of numpy's ufunc iteration buffers (8192 elements an operand), which
+# do not grow with the inputs
+UFUNC_BUFFERS = 2 ** 18
 
 
 def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch,
                                                             run_traced):
-    # order 4 at d = 8: 1024 rows of x⊗x per budget, n = 16 budgets of rows;
-    # one unchunked n×d² block alone would take 16 budgets
+    # order 4: 455 rows of D = 36 cells per budget at d = 8 (n = 36
+    # budgets of p(x) rows), 13 rows of D = 1176 at d = 48 (72 budgets);
+    # beyond one p(x) block, only the form and one reused product are live
     monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
-    d = 8
-    s = Sample(np.random.default_rng(51).standard_normal((16 * 1024, d)))
-    _, peak = run_traced(lambda: empirical_moment(s, 4))
-    assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
+    for d, n in ((8, 16 * 1024), (48, 1000)):
+        sym = d * (d + 1) // 2
+        s = Sample(np.random.default_rng(51).standard_normal((n, d)))
+        _, peak = run_traced(lambda: empirical_moment(s, 4))
+        assert peak < 8 * (2 * sym * sym + BUDGET_CELLS) + UFUNC_BUFFERS, d
 
 
 def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
-    # 1000 cells: 3 Efron replicates of n = 300 (25 in 9 chunks), 40 moment
-    # rows of d² = 25 cells (200 in 5 chunks), 8 power starts of d³ = 125
-    # cells (33 in 5 blocks) and 3 half-space directions of 150 + 150
+    # 1000 cells: 3 Efron replicates of n = 300 (25 in 9 chunks), 35 moment
+    # rows of D = 28 cells (200 in 6 chunks), 20 power starts of d² = 49
+    # U(v) cells (57 in 3 blocks) and 3 half-space directions of 150 + 150
     # projected rows (12 in 4 blocks); each kernel must split under this one
     # value
     monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
@@ -490,7 +522,7 @@ def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
         monkeypatch.setattr(module, name, spy)
 
     for module, name in ((bootstrap, "_resample_counts"),
-                         (tensors, "_unfolded_power_sum"),
+                         (tensors, "_pair_products"),
                          (tensors, "_power_block")):
         count(module, name)
     rng = np.random.default_rng(61)
@@ -498,26 +530,29 @@ def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
     means = bootstrap._resample_means(c, 25, np.random.default_rng(9))
     draws = np.random.default_rng(9).integers(0, 300, size=(25, 300))
     np.testing.assert_allclose(means, c[draws].mean(axis=1), rtol=1e-12)
-    x = rng.standard_normal((200, 5))
+    x = rng.standard_normal((200, 7))
     moment = empirical_moment(Sample(x), 4)
-    np.testing.assert_allclose(moment.data, naive_moment(x, 4), rtol=1e-12)
-    assert_matches_reference(moment)
+    dense = naive_moment(x, 4)
+    np.testing.assert_allclose(moment.data, sym2_form(dense).data, rtol=1e-12)
+    assert_matches_reference(dense, moment)
     sa = Sample(rng.standard_normal((150, 2)))
     sb = Sample(rng.standard_normal((150, 2)) + 0.5)
     assert distances.delta_H_hat(sa, sb, n_dirs=10, n_boot=0).value > 0.2
-    assert chunks == {"_resample_counts": 9, "_unfolded_power_sum": 5,
-                      "_power_block": 5}
+    assert chunks == {"_resample_counts": 9, "_pair_products": 6,
+                      "_power_block": 3}
     assert projection_blocks == [3, 3, 3, 3]
 
 
 def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch,
                                                           run_traced):
-    # order 4 at d = 16: 264 starts of 16³ Kronecker cells are 16.5
-    # budgets, iterated in blocks of 16 starts
+    # order 4: 64 starts of d² = 256 U(v) cells per budget at d = 16 (264
+    # starts in 5 blocks), 7 of 2304 at d = 48 (56 starts in 8 blocks); the
+    # m(v) rows and G·m(v) of a block take about one more budget
     monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
-    d = 16
-    data = symmetrize(np.random.default_rng(52).standard_normal((d,) * 4))
-    t = MomentTensor(4, d, data)
     monkeypatch.setattr(tensors, "POWER_MAX_ITER", 3)
-    _, peak = run_traced(lambda: operator_norm(t))
-    assert peak < 8 * (d ** 4 + 2 * BUDGET_CELLS)
+    for d in (16, 48):
+        sym = d * (d + 1) // 2
+        rows = np.random.default_rng(52).standard_normal((400, d))
+        t = empirical_moment(Sample(rows), 4)
+        _, peak = run_traced(lambda: operator_norm(t))
+        assert peak < 8 * (sym * sym + 2 * BUDGET_CELLS) + UFUNC_BUFFERS, d
