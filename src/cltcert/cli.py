@@ -96,16 +96,13 @@ _ROUTE_READS = {
 }
 
 
-def _warn_unread_flags(args, reads) -> None:
-    """Name on stderr each supplied sample flag that the route of
-    ``bound`` does not read (stdout and the exit code do not change)."""
-    route = "--moments" if args.moments else "--from-sample"
-    for dest in ("from_sample", "second_sample", "sigma", "sigma_t",
-                 "weight", "info", "sigma2"):
-        if getattr(args, dest) is not None and dest not in reads:
+def _warn_unread_flags(args, dests, route: str) -> None:
+    """Warn on stderr about each supplied flag of ``dests``, the flags that
+    ``route`` does not read; stdout and the exit code do not change."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
             flag = "--" + dest.replace("_", "-")
-            _note(f"warning: {flag} is ignored: --theorem {args.theorem} "
-                  f"with {route} does not read it")
+            _note(f"warning: {flag} is ignored: {route} does not read it")
 
 
 def _bound_summary(args, theorem: Theorem) -> MomentSummary:
@@ -113,7 +110,12 @@ def _bound_summary(args, theorem: Theorem) -> MomentSummary:
     if reads is None:
         raise ValueError(f"--theorem {args.theorem} needs --moments "
                          "(sample moments cannot determine the matching law)")
-    _warn_unread_flags(args, reads)
+    source = "--moments" if args.moments else "--from-sample"
+    _warn_unread_flags(
+        args, [dest for dest in ("from_sample", "second_sample", "sigma",
+                                 "sigma_t", "weight", "info", "sigma2")
+               if dest not in reads],
+        f"--theorem {args.theorem} with {source}")
     if args.moments:
         with open(args.moments, "r", encoding="utf-8") as fh:
             return MomentSummary.from_json(fh.read())
@@ -214,6 +216,8 @@ def _breakdown_payload(bb):
 
 
 def _cmd_bootstrap(args) -> int:
+    _warn_unread_flags(args, ("info",) if args.test == "ball" else ("weight",),
+                       f"--test {args.test}")
     data = Sample.from_csv(args.data)
     if args.test == "ball":
         w = _load_matrix(args.weight) if args.weight else np.eye(data.dim)
@@ -279,7 +283,7 @@ def _experiment_portnoy(args) -> list[str]:
 
 
 def _experiment_coverage(args) -> list[str]:
-    spec = DistributionSpec(family=args.family, d=args.d, seed=args.seed)
+    spec = DistributionSpec(family=args.family, d=args.d)
     res = elliptical_coverage_experiment(
         spec, np.eye(args.d), alpha=args.alpha, n=args.n, B=args.B,
         trials=args.trials, seed=args.seed, sigma2=args.sigma2)
@@ -302,7 +306,7 @@ def _experiment_score_level(args) -> list[str]:
 
 
 def _experiment_same_law(args, estimator: str) -> list[str]:
-    spec = DistributionSpec(family=args.family, d=args.d, seed=args.seed)
+    spec = DistributionSpec(family=args.family, d=args.d)
     a = spec.sample(args.n, seed=args.seed)
     b = spec.sample(args.n, seed=args.seed + 1)
     threshold = same_law_threshold(args.d, args.n, estimator=estimator,
@@ -336,7 +340,7 @@ def _experiment_normal_sweep(args) -> list[str]:
     if min(n_list) < 1 or args.blocks < 1:
         raise ValueError("--n-list entries and --blocks must be >= 1")
     rows = []
-    spec = DistributionSpec(family=args.family, d=args.d, seed=args.seed)
+    spec = DistributionSpec(family=args.family, d=args.d)
     for n in n_list:
         x = spec.sample(n, seed=args.seed)
         # empirical law of the normalized sum via independent block sums
@@ -347,9 +351,8 @@ def _experiment_normal_sweep(args) -> list[str]:
         rng = np.random.default_rng(args.seed + 1)
         z = rng.multivariate_normal(np.zeros(args.d), cov, size=blocks,
                                     method="eigh")
-        est = delta_B_hat(Sample(s_n, label="sums"), Sample(z, label="ref"),
-                          n_centers=args.centers, seed=args.seed,
-                          n_boot=args.boot)
+        est = delta_B_hat(Sample(s_n), Sample(z), n_centers=args.centers,
+                          seed=args.seed, n_boot=args.boot)
         ms = summarize_sample(x, sigma=cov, n=n, with_op_norms=False)
         bound = bound_ball_normal(ms)
         rows.append(_sweep_row(args.d, n, args.family, est.value, est.stderr,

@@ -349,8 +349,8 @@ def same_law_threshold(d: int, n: int, estimator: str = "ball",
     vals = np.empty(n_null)
     for run in range(n_null):
         rng = substream(seed, f"null:{estimator}", run)
-        a = Sample(rng.standard_normal((n_cal, d)), seed=seed, label="null_a")
-        b = Sample(rng.standard_normal((n_cal, d)), seed=seed, label="null_b")
+        a = Sample(rng.standard_normal((n_cal, d)))
+        b = Sample(rng.standard_normal((n_cal, d)))
         if estimator == "ball":
             est = delta_B_hat(a, b, n_centers=n_centers, seed=seed, n_boot=0)
         else:

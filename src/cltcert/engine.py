@@ -859,7 +859,7 @@ def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
 
 
 def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
-                   same_cov: bool = True, n: Optional[int] = None,
+                   same_cov: bool = True,
                    with_op_norms: bool = True) -> MomentSummary:
     """Two-sample summary for the comparison bounds.
 
@@ -873,7 +873,7 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
         raise ValueError("samples have different dimensions")
     cx, ct = _centered(x), _centered(t)
     spd_x = SpdMatrix.coerce(cx.covariance() if sigma is None else sigma)
-    d, n = x.dim, n if n is not None else x.n
+    d, n = x.dim, x.n
     if same_cov:
         cx, ct = whiten(cx, spd_x), whiten(ct, spd_x)
     else:

@@ -123,15 +123,11 @@ def alpha_law(beta: float) -> TwoPointLaw:
 # ---------------------------------------------------------------------------
 
 
-def sample_gaussian(sigma, n: int, seed: int, mean=None) -> Sample:
-    """n i.i.d. rows from 𝒩(mean, Σ)."""
+def sample_gaussian(sigma, n: int, seed: int) -> Sample:
+    """n i.i.d. rows from 𝒩(0, Σ)."""
     spd = SpdMatrix.coerce(sigma)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, spd.dim))
-    x = z @ spd.sqrt()
-    if mean is not None:
-        x = x + np.asarray(mean, dtype=float)
-    return Sample(x, seed=seed, label="gaussian")
+    return Sample(rng.standard_normal((n, spd.dim)) @ spd.sqrt())
 
 
 def sample_portnoy(d: int, n: int, seed: int) -> Sample:
@@ -143,7 +139,7 @@ def sample_portnoy(d: int, n: int, seed: int) -> Sample:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, d))
     u = rng.standard_normal(n)
-    return Sample(z * u[:, None], seed=seed, label="portnoy_mixed")
+    return Sample(z * u[:, None])
 
 
 def sample_symmetric_L(d: int, n: int, seed: int) -> Sample:
@@ -161,22 +157,19 @@ def sample_symmetric_L(d: int, n: int, seed: int) -> Sample:
     z = rng.standard_normal((n, d))
     y = rng.laplace(0.0, _LAPLACE_SCALE, (n, d))
     proj = np.einsum("ij,ij->i", y, z) / np.linalg.norm(y, axis=1)
-    return Sample(c1 * z_tilde + c2 * y * proj[:, None], seed=seed,
-                  label="symmetric_L")
+    return Sample(c1 * z_tilde + c2 * y * proj[:, None])
 
 
 def sample_laplace_product(d: int, n: int, seed: int) -> Sample:
     """Product measure with standardized double-exponential coordinates."""
     rng = np.random.default_rng(seed)
-    return Sample(rng.laplace(0.0, _LAPLACE_SCALE, (n, d)), seed=seed,
-                  label="laplace_product")
+    return Sample(rng.laplace(0.0, _LAPLACE_SCALE, (n, d)))
 
 
 def sample_exponential_centered(d: int, n: int, seed: int) -> Sample:
     """Product measure with Exp(1) − 1 coordinates (skewed, variance 1)."""
     rng = np.random.default_rng(seed)
-    return Sample(rng.exponential(1.0, (n, d)) - 1.0, seed=seed,
-                  label="exponential_centered")
+    return Sample(rng.exponential(1.0, (n, d)) - 1.0)
 
 
 # each benchmark family's sampler (d, n, seed) -> Sample
@@ -191,12 +184,10 @@ FAMILIES: dict[str, Callable[[int, int, int], Sample]] = {
 
 @dataclass
 class DistributionSpec:
-    """One of the :data:`FAMILIES` in dimension ``d``; ``seed`` is the
-    default seed of :meth:`sample`."""
+    """One of the :data:`FAMILIES` in dimension ``d``."""
 
     family: str
     d: int
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -209,11 +200,8 @@ class DistributionSpec:
         """Population covariance: every family is standardized to I_d."""
         return np.eye(self.d)
 
-    def sample(self, n: int, seed: Optional[int] = None) -> Sample:
-        s = seed if seed is not None else self.seed
-        if s is None:
-            raise ValueError("no seed: set DistributionSpec.seed or pass one")
-        return FAMILIES[self.family](self.d, n, s)
+    def sample(self, n: int, seed: int) -> Sample:
+        return FAMILIES[self.family](self.d, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -262,5 +250,4 @@ def construct_Y(x: Sample, beta: float, seed: int,
             raise ValueError("need at least 2 rows to form a half-split copy")
         idx = rng_copy.integers(half, n, size=n)
         x_tilde = x.data[idx]
-    return Sample(z + alpha[:, None] * x_tilde, seed=seed,
-                  label=(x.label + ":Y").lstrip(":"))
+    return Sample(z + alpha[:, None] * x_tilde)

@@ -29,7 +29,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -194,11 +193,10 @@ class SpdMatrix:
 
 @dataclass
 class Sample:
-    """An n×d data matrix with provenance (seed and label)."""
+    """An n×d data matrix of finite floats with n, d ≥ 1; a 1-D array is
+    one column."""
 
     data: np.ndarray
-    seed: Optional[int] = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=float)
@@ -206,6 +204,9 @@ class Sample:
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ValueError(f"sample data must be 2-D, got ndim={arr.ndim}")
+        if 0 in arr.shape:
+            raise ValueError("sample needs at least one row and one column, "
+                             f"got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("sample contains non-finite entries")
         self.data = arr
@@ -244,7 +245,7 @@ class Sample:
                 fh.close()
 
     @classmethod
-    def from_csv(cls, path_or_buf, label: str = "") -> "Sample":
+    def from_csv(cls, path_or_buf) -> "Sample":
         close = False
         if isinstance(path_or_buf, str):
             fh = open(path_or_buf, "r", newline="")
@@ -267,7 +268,7 @@ class Sample:
             raise ValueError("CSV sample has a header but no rows")
         if arr.shape[1] != len(header):
             raise ValueError("CSV rows do not match the header width")
-        return cls(arr, label=label)
+        return cls(arr)
 
 
 # --------------------------------------------------------------------------
@@ -376,8 +377,9 @@ def _power_block(form: np.ndarray, v: np.ndarray, order: int,
     """Shifted power iteration of the rows of ``v`` on A, where ``form`` is
     the Sym² form of A.  Returns, per start, the final Rayleigh value
     f(v) = ⟨A, v^{⊗k}⟩, its iteration count and whether it met the
-    fixed-point test; a start stops as soon as it converges or its update
-    vanishes."""
+    fixed-point test; a start stops as soon as it converges.  The update
+    w = A(·, v, …, v) + shift·v never vanishes: ⟨v, w⟩ = f(v) + shift > 0,
+    since |f(v)| ≤ ‖A‖_F on the unit sphere and shift > k·‖A‖_F."""
     s, d = v.shape
     iu, ju, weight = _sym2_basis(d)
     u_block = np.empty((s, d, d)) if order == 4 else None
@@ -401,22 +403,18 @@ def _power_block(form: np.ndarray, v: np.ndarray, order: int,
     f = np.einsum("ij,ij->i", g, v)
     for it in range(POWER_MAX_ITER):
         w = g + shift * v
-        nw = np.linalg.norm(w, axis=1)
-        vanished = nw == 0.0  # such a start stops where it is, unconverged
-        v_new = w / np.where(vanished, 1.0, nw)[:, None]
+        v_new = w / np.linalg.norm(w, axis=1)[:, None]
         g = contract(v_new)
         f_new = np.einsum("ij,ij->i", g, v_new)
         step = np.linalg.norm(v_new - v, axis=1)
-        done = (~vanished & (step < 1e-8)
-                & (np.abs(f_new - f)
-                   <= POWER_TOL * np.maximum(1.0, np.abs(f_new))))
-        v, f = v_new, np.where(vanished, f, f_new)
-        stop = vanished | done
-        if stop.any():
-            fval[active[stop]] = f[stop]
-            iters[active[stop]] = it + 1
-            converged[active[stop]] = done[stop]
-            keep = ~stop
+        done = (step < 1e-8) & (
+            np.abs(f_new - f) <= POWER_TOL * np.maximum(1.0, np.abs(f_new)))
+        v, f = v_new, f_new
+        if done.any():
+            fval[active[done]] = f[done]
+            iters[active[done]] = it + 1
+            converged[active[done]] = True
+            keep = ~done
             active, v, g, f = active[keep], v[keep], g[keep], f[keep]
             if not active.size:
                 break
@@ -460,8 +458,7 @@ def whiten(sample: Sample, sigma: SpdMatrix) -> Sample:
     """Rows x_i ↦ Σ^{-1/2} x_i (Σ must be well conditioned)."""
     if sigma.dim != sample.dim:
         raise ValueError("covariance dimension does not match the sample")
-    w = sample.data @ sigma.inv_sqrt()
-    return Sample(w, seed=sample.seed, label=(sample.label + ":whitened").lstrip(":"))
+    return Sample(sample.data @ sigma.inv_sqrt())
 
 
 # --------------------------------------------------------------------------

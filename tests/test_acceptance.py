@@ -135,7 +135,7 @@ def test_criterion_04_moment_matching_construction():
     t0 = time.time()
     worst_overall = 0.0
     for family in ("gaussian", "exponential_centered"):
-        spec = DistributionSpec(family=family, d=3, seed=4)
+        spec = DistributionSpec(family=family, d=3)
         x = spec.sample(1_000_000, seed=4)
         y = construct_Y(x, beta=0.829, seed=5, spec=spec)
         for order in (1, 2, 3):
@@ -156,11 +156,10 @@ def test_criterion_05_bound_dominates_estimate():
     rng = np.random.default_rng(5)
     chol = np.linalg.cholesky(sigma)
     n = 10_000
-    x = Sample(rng.standard_normal((n, 2)) @ chol.T, label="x")
-    t = Sample(rng.standard_normal((n, 2)) @ (math.sqrt(1.1) * chol).T,
-               label="t")
+    x = Sample(rng.standard_normal((n, 2)) @ chol.T)
+    t = Sample(rng.standard_normal((n, 2)) @ (math.sqrt(1.1) * chol).T)
     ms = summarize_pair(x, t, sigma=sigma, sigma_t=1.1 * sigma,
-                        same_cov=False, n=n)
+                        same_cov=False)
     bound = bound_ball_general(ms, same_cov=False)
     est = delta_B_hat(x, t, n_centers=256, seed=5, n_boot=100)
     assert bound.total >= est.value + 3.0 * est.stderr
@@ -230,7 +229,7 @@ def test_criterion_09_bootstrap_score_level():
 
 def test_criterion_10_elliptical_coverage():
     t0 = time.time()
-    spec = DistributionSpec(family="gaussian", d=3, seed=10)
+    spec = DistributionSpec(family="gaussian", d=3)
     res = elliptical_coverage_experiment(spec, np.eye(3), alpha=0.1, n=500,
                                          B=1000, trials=1000, seed=10)
     assert 0.87 <= res.coverage <= 0.93, res.coverage
@@ -252,8 +251,8 @@ def test_criterion_11_null_calibration():
     below_ball = below_half = 0
     for run in range(20):
         rng = np.random.default_rng(substream(11, "acceptance:same-law", run))
-        a = Sample(rng.standard_normal((n, d)), label="a")
-        b = Sample(rng.standard_normal((n, d)), label="b")
+        a = Sample(rng.standard_normal((n, d)))
+        b = Sample(rng.standard_normal((n, d)))
         below_ball += delta_B_hat(a, b, n_centers=64, seed=run,
                                   n_boot=0).value < thr_ball
         below_half += delta_H_hat(a, b, n_dirs=64, seed=run,
@@ -277,11 +276,10 @@ def test_criterion_12_cli_determinism(tmp_path):
                                           n=1000).to_json())
     xa = tmp_path / "a.csv"
     xb = tmp_path / "b.csv"
-    Sample(rng.standard_normal((300, 2)), label="a").to_csv(str(xa))
-    Sample(rng.standard_normal((300, 2)) + [1.0, 0.0],
-           label="b").to_csv(str(xb))
+    Sample(rng.standard_normal((300, 2))).to_csv(str(xa))
+    Sample(rng.standard_normal((300, 2)) + [1.0, 0.0]).to_csv(str(xb))
     scores = tmp_path / "scores.csv"
-    Sample(rng.standard_normal((200, 2)), label="s").to_csv(str(scores))
+    Sample(rng.standard_normal((200, 2))).to_csv(str(scores))
     info = tmp_path / "info.csv"
     np.savetxt(str(info), 200 * np.eye(2), delimiter=",")
 

@@ -160,7 +160,7 @@ def test_ball_quantile_validation_and_certificate():
 
 def test_bootstrap_score_test_rejects_separated_mean():
     rng = np.random.default_rng(8)
-    scores = Sample(rng.standard_normal((200, 3)) + 2.0, label="shifted")
+    scores = Sample(rng.standard_normal((200, 3)) + 2.0)
     res = bootstrap_score_test(scores, alpha=0.1, B=300, seed=0)
     assert res.reject
     assert res.statistic > res.threshold
@@ -310,7 +310,7 @@ def test_invalid_sigma2_fails_before_any_resample(test, sigma2, tmp_path,
 
 
 def test_coverage_experiment_smoke():
-    spec = DistributionSpec(family="gaussian", d=2, seed=0)
+    spec = DistributionSpec(family="gaussian", d=2)
     res = elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=100,
                                          B=250, trials=200, seed=1)
     assert 0.80 <= res.coverage <= 0.98
@@ -325,7 +325,7 @@ def test_coverage_experiment_smoke():
 
 def test_coverage_certificate_feasible_and_infeasible(monkeypatch):
     monkeypatch.setattr(bootstrap, "COVERAGE_PILOT_N", 4000)
-    spec = DistributionSpec(family="gaussian", d=2, seed=0)
+    spec = DistributionSpec(family="gaussian", d=2)
     ok = elliptical_coverage_experiment(spec, np.eye(2), alpha=0.1, n=400,
                                         B=250, trials=200, seed=2,
                                         sigma2=0.05)
@@ -353,7 +353,7 @@ def test_coverage_certificate_feasible_and_infeasible(monkeypatch):
 def test_coverage_nontrivial_mean_and_rotation_stability():
     # N(0, I) is rotation invariant, so the ellipsoids of W and of its
     # rotation qWqᵀ have the same coverage; only Monte Carlo noise differs
-    spec = DistributionSpec(family="gaussian", d=2, seed=0)
+    spec = DistributionSpec(family="gaussian", d=2)
     w = np.diag([1.0, 4.0])
     res = elliptical_coverage_experiment(spec, w, alpha=0.1, n=150, B=250,
                                          trials=200, seed=3)

@@ -28,8 +28,8 @@ def gaussian_csvs(tmp_path):
     rng = np.random.default_rng(42)
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    Sample(rng.standard_normal((400, 2)), label="a").to_csv(str(a))
-    Sample(rng.standard_normal((400, 2)) + [3.0, 0.0], label="b").to_csv(str(b))
+    Sample(rng.standard_normal((400, 2))).to_csv(str(a))
+    Sample(rng.standard_normal((400, 2)) + [3.0, 0.0]).to_csv(str(b))
     return str(a), str(b)
 
 
@@ -37,7 +37,7 @@ def gaussian_csvs(tmp_path):
 def score_csv(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "scores.csv"
-    Sample(rng.standard_normal((300, 3)), label="s").to_csv(str(path))
+    Sample(rng.standard_normal((300, 3))).to_csv(str(path))
     return str(path)
 
 
@@ -126,7 +126,7 @@ def test_bound_infeasible_certificate_exits_3(tmp_path, capsys):
     # no β repairs the feasibility condition, so the β search reports it too
     rng = np.random.default_rng(1)
     path = tmp_path / "x.csv"
-    Sample(rng.standard_normal((200, 3)), label="x").to_csv(str(path))
+    Sample(rng.standard_normal((200, 3))).to_csv(str(path))
     for beta in ("0.829", "optimize"):
         code, _, err = run_cli(
             ["bound", "--theorem", "bootstrap-ball", "--from-sample",
@@ -420,8 +420,8 @@ def test_distance_ball_detects_shift(gaussian_csvs, capsys):
 def test_distance_ks_and_levy_one_dimensional(tmp_path, capsys):
     x = tmp_path / "x.csv"
     y = tmp_path / "y.csv"
-    Sample(np.zeros((5, 1)), label="x").to_csv(str(x))
-    Sample(np.full((5, 1), 0.25), label="y").to_csv(str(y))
+    Sample(np.zeros((5, 1))).to_csv(str(x))
+    Sample(np.full((5, 1), 0.25)).to_csv(str(y))
     code, out, _ = run_cli(
         ["distance", "--kind", "ks", "--sample-a", str(x), "--sample-b",
          str(y), "--seed", "0"], capsys)
@@ -509,11 +509,26 @@ def test_bootstrap_of_one_row_is_a_configuration_error(test, message,
     # every Efron resample of one row is that row: the ball replicates
     # would all be 0
     path = tmp_path / "one_row.csv"
-    Sample(np.array([[0.5, 1.5]]), label="s").to_csv(str(path))
+    Sample(np.array([[0.5, 1.5]])).to_csv(str(path))
     code, out, err = run_cli(
         ["bootstrap", "--test", test, "--data", str(path), "--alpha", "0.1",
          "--B", "200", "--seed", "1"], capsys)
     assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
+def test_bootstrap_warns_about_the_matrix_flag_its_test_ignores(
+        tmp_path, score_csv, capsys):
+    # --test ball reads --weight and --test score reads --info; the other
+    # flag's missing file is warned about, never opened
+    missing = str(tmp_path / "missing.csv")
+    for test, flag in (("ball", "--info"), ("score", "--weight")):
+        argv = ["bootstrap", "--test", test, "--data", score_csv, "--alpha",
+                "0.1", "--B", "200", "--seed", "3", "--sigma2", "0.05"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and "warning" not in err
+        assert run_cli(argv + [flag, missing], capsys) == (
+            code, out, err + f"warning: {flag} is ignored: --test {test} "
+                             "does not read it\n")
 
 
 def test_bootstrap_score_payload_contract(score_csv, capsys):

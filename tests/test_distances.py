@@ -31,8 +31,8 @@ BALL_SHIFT_GAP = 0.7550035541717667
 HS_SHIFT_GAP = 0.8663855974622838
 
 
-def _sample(arr, seed=0, label=""):
-    return Sample(np.asarray(arr, dtype=float), seed=seed, label=label)
+def _sample(arr):
+    return Sample(np.asarray(arr, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def test_delta_B_detects_mean_shift():
     # far-off centers approximate half-spaces (projection gap ≈ 0.866), so
     # the searched maximum must land between those two oracles.
     a = sample_gaussian(np.eye(2), 30_000, seed=2)
-    b = sample_gaussian(np.eye(2), 30_000, seed=3, mean=[3.0, 0.0])
+    b = Sample(sample_gaussian(np.eye(2), 30_000, seed=3).data + [3.0, 0.0])
     est = delta_B_hat(a, b, n_centers=64, seed=0, n_boot=40)
     assert est.value >= 0.85
     assert BALL_SHIFT_GAP - 0.02 <= est.value <= HS_SHIFT_GAP + 0.02
@@ -422,7 +422,8 @@ def test_delta_B_same_law_is_small_and_monotone_in_centers():
 
 def test_delta_H_detects_shift_via_axis_direction():
     a = sample_gaussian(np.eye(3), 20_000, seed=12)
-    b = sample_gaussian(np.eye(3), 20_000, seed=13, mean=[3.0, 0.0, 0.0])
+    b = Sample(sample_gaussian(np.eye(3), 20_000, seed=13).data
+               + [3.0, 0.0, 0.0])
     est = delta_H_hat(a, b, n_dirs=32, seed=0, n_boot=40)
     assert abs(est.value - HS_SHIFT_GAP) < 0.02
     assert est.stderr > 0.0
@@ -444,9 +445,9 @@ def test_rotation_invariance_up_to_search_noise():
     q = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]])
     a = sample_gaussian(np.eye(2), 20_000, seed=20)
-    b = sample_gaussian(np.eye(2), 20_000, seed=21, mean=[3.0, 0.0])
-    ar = _sample(a.data @ q.T, label="rot_a")
-    br = _sample(b.data @ q.T, label="rot_b")
+    b = Sample(sample_gaussian(np.eye(2), 20_000, seed=21).data + [3.0, 0.0])
+    ar = _sample(a.data @ q.T)
+    br = _sample(b.data @ q.T)
     e1 = delta_B_hat(a, b, n_centers=32, seed=1, n_boot=0)
     e2 = delta_B_hat(ar, br, n_centers=32, seed=1, n_boot=0)
     assert abs(e1.value - e2.value) < 0.03

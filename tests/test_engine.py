@@ -623,7 +623,7 @@ def test_frobenius_envelope_is_never_above_the_others():
 def test_bootstrap_and_score_summaries():
     z = sample_gaussian(np.eye(3), 150_000, seed=7)
     assert bootstrap_summary(z, sigma2=1.0).x_c3_frob < 0.05
-    x = sample_gaussian(np.eye(2), 5000, seed=11, mean=[1.0, -2.0])
+    x = Sample(sample_gaussian(np.eye(2), 5000, seed=11).data + [1.0, -2.0])
     ms = bootstrap_summary(x, sigma2=1.0)
     assert ms.sigma2 == 1.0
     assert ms.x_c4_mean == pytest.approx(8.0, rel=0.1)   # centering removed μ

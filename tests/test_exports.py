@@ -6,12 +6,21 @@ so a name left there after its function is deleted would hide a missing
 function instead of failing.  A hooked name that is renamed or deleted
 would silently read 0 in a per-layer metric, so the tracer's tables are
 checked against the package here, without installing the tracer.
+
+A defaulted parameter of a public function that no call inside the package
+passes is a setting nothing uses, so every such parameter must be passed
+somewhere in ``src/cltcert`` or be listed, with its reason, as an
+exception.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import itertools
+import math
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -69,3 +78,73 @@ def test_resample_kernel_is_not_exported():
     # the tracer would wrap it and count every resample chunk as a sampler
     # call, moving resampling time into the sampler metrics
     assert "_resample_counts" not in samplers.__all__
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cltcert"
+
+# defaulted parameters that no call inside the package passes, and why each
+# stays: (module, function, parameter)
+UNPASSED_DEFAULTS = {
+    ("cli", "main", "argv"):
+        "the console entry point; tests and the benchmark pass argv",
+    ("samplers", "construct_Y", "spec"):
+        "the paper's smoothing construction, called by the acceptance "
+        "criteria with and without a parametric spec",
+}
+
+
+def _public_functions(tree):
+    """(name, defaulted parameters with their positional index or None)
+    for each public module-level function and public method."""
+    classes = [node.body for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and not node.name.startswith("_")]
+    for fn in itertools.chain(tree.body, *classes):
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(a.defaults)
+        defaulted = [(p.arg, i) for i, p in enumerate(positional)
+                     if i >= first]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs,
+                                                    a.kw_defaults)
+                      if d is not None]
+        yield fn.name, defaulted
+
+
+def _passed(trees):
+    """The keywords and the most positional arguments passed to each
+    called name over every call in ``trees``; ``*args`` passes every
+    position and ``**kwargs`` every keyword."""
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            keywords[name].update(k.arg or "**" for k in call.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positions[name] = max(positions[name],
+                                  math.inf if starred else len(call.args))
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # code with no caller in the library or CLI is deleted: a default that
+    # no call inside the package overrides is a setting nothing uses
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    keywords, positions = _passed(trees.values())
+    unpassed = set()
+    for module, tree in trees.items():
+        for name, defaulted in _public_functions(tree):
+            for param, index in defaulted:
+                if not ({param, "**"} & keywords[name]
+                        or (index is not None and index < positions[name])):
+                    unpassed.add((module, name, param))
+    assert unpassed == set(UNPASSED_DEFAULTS)

@@ -96,7 +96,8 @@ def test_gaussian_sampler_matches_target_covariance():
     var = s.data.var(axis=0)
     assert var[0] == pytest.approx(1.0, abs=0.03)
     assert var[1] == pytest.approx(4.0, abs=0.12)
-    shifted = sample_gaussian(np.eye(2), 50_000, seed=2, mean=[3.0, -1.0])
+    shifted = Sample(sample_gaussian(np.eye(2), 50_000, seed=2).data
+                     + [3.0, -1.0])
     np.testing.assert_allclose(shifted.mean(), [3.0, -1.0], atol=0.05)
 
 
@@ -158,11 +159,11 @@ def test_distribution_spec_round_trip_and_dispatch():
                   if a.dest == "family")
     assert family.choices == tuple(FAMILIES)
     for name, sampler in FAMILIES.items():
-        spec = DistributionSpec(name, 3, seed=12)
-        spec2 = DistributionSpec(spec.family, spec.d, spec.seed)
-        s = spec.sample(64)
+        spec = DistributionSpec(name, 3)
+        spec2 = DistributionSpec(spec.family, spec.d)
+        s = spec.sample(64, 12)
         assert s.data.shape == (64, 3)
-        np.testing.assert_array_equal(s.data, spec2.sample(64).data)
+        np.testing.assert_array_equal(s.data, spec2.sample(64, 12).data)
         np.testing.assert_array_equal(s.data, sampler(3, 64, 12).data)
         np.testing.assert_array_equal(spec.covariance(), np.eye(3))
 
@@ -173,8 +174,6 @@ def test_distribution_spec_validation():
             DistributionSpec(family, 2)
     with pytest.raises(ValueError):
         DistributionSpec("gaussian", 0)
-    with pytest.raises(ValueError, match="no seed"):
-        DistributionSpec("gaussian", 2).sample(10)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,8 @@ def test_distribution_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_construct_Y_matches_first_three_moments_parametric():
-    spec = DistributionSpec("exponential_centered", 2, seed=21)
-    x = spec.sample(300_000)
+    spec = DistributionSpec("exponential_centered", 2)
+    x = spec.sample(300_000, 21)
     y = construct_Y(x, beta=0.8, seed=22, spec=spec)
     assert y.n == x.n and y.dim == x.dim
     for order in (1, 2, 3):
@@ -191,8 +190,8 @@ def test_construct_Y_matches_first_three_moments_parametric():
 
 
 def test_construct_Y_gaussian_third_moment_vanishes():
-    spec = DistributionSpec("gaussian", 2, seed=23)
-    x = spec.sample(200_000)
+    spec = DistributionSpec("gaussian", 2)
+    x = spec.sample(200_000, 23)
     y = construct_Y(x, beta=0.6, seed=24, spec=spec)
     m3 = np.einsum("ni,nj,nk->ijk", y.data, y.data, y.data) / y.n
     assert np.abs(m3).max() < 0.05
@@ -210,8 +209,8 @@ def test_construct_Y_half_split_for_raw_data():
 
 
 def test_construct_Y_validation_and_reproducibility():
-    spec = DistributionSpec("gaussian", 2, seed=28)
-    x = spec.sample(1000)
+    spec = DistributionSpec("gaussian", 2)
+    x = spec.sample(1000, 28)
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             construct_Y(x, beta=bad, seed=0)

@@ -369,7 +369,7 @@ def test_spd_refuses_ill_conditioned_inverse_sqrt():
 
 def test_sample_csv_round_trip_and_determinism():
     rng = np.random.default_rng(41)
-    s = Sample(rng.standard_normal((17, 3)), seed=41, label="demo")
+    s = Sample(rng.standard_normal((17, 3)))
     buf = io.StringIO()
     s.to_csv(buf)
     text = buf.getvalue()
@@ -399,9 +399,8 @@ def test_sample_from_csv_rejects_malformed_input(text, recwarn):
 def test_sample_from_csv_reads_files_and_quoted_fields(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text('x1,"x2"\n"1.5",-2e-3\n\n3,4\n')
-    s = Sample.from_csv(str(path), label="q")
+    s = Sample.from_csv(str(path))
     np.testing.assert_array_equal(s.data, [[1.5, -2e-3], [3.0, 4.0]])
-    assert s.label == "q"
     one = Sample.from_csv(io.StringIO("x1\n0.25\n"))
     assert one.data.shape == (1, 1)
 
@@ -419,6 +418,12 @@ def test_sample_csv_round_trip_is_bit_exact(tmp_path):
 def test_sample_rejects_non_finite():
     with pytest.raises(ValueError):
         Sample(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+def test_sample_rejects_no_rows_or_no_columns(shape):
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        Sample(np.zeros(shape))
 
 
 def test_whiten_gives_identity_covariance():
