@@ -3,11 +3,12 @@ accuracy and the nonparametric bootstrap.
 
 The package has five layers:
 
-* :mod:`cltcert.tensors` — dense moment tensors, SPD covariance wrappers,
-  tensor norms (Frobenius / symmetric operator) and Gaussian-weighted
-  Hermite integrals;
-* :mod:`cltcert.samplers` — the benchmark distribution zoo and the
-  two-point mixing law behind the third-moment-matching construction;
+* :mod:`cltcert.tensors` — moment tensors in Sym² form, SPD covariance
+  wrappers, tensor norms (Frobenius / symmetric operator), Gaussian-weighted
+  Hermite integrals and the CSV sample container;
+* :mod:`cltcert.samplers` — named seed substreams, the Efron resample-count
+  kernel, the benchmark distribution zoo and the two-point mixing law
+  behind the third-moment-matching construction;
 * :mod:`cltcert.engine` — the bound engine proper: explicit Berry–Esseen-type
   bounds over Euclidean balls and half-spaces, the symmetric-input variant,
   bootstrap accuracy certificates, and score-test bounds;

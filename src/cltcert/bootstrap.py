@@ -11,7 +11,7 @@ not the configuration it was called with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "BootstrapResult",
     "CoverageResult",
     "LevelResult",
-    "RaoResult",
     "ScoreTestResult",
     "bootstrap_ball_quantile",
     "bootstrap_score_test",
@@ -108,6 +107,25 @@ def _score_bootstrap(rows: np.ndarray, b: int, alpha: float,
     return statistic, _order_stat_quantile(replicates, alpha)
 
 
+def _ball_bootstrap(centered: np.ndarray, w_half: np.ndarray, b: int,
+                    alpha: float, rng: np.random.Generator):
+    """The ``b`` replicates √n‖W^{1/2}X̄*‖ of the centered rows' Efron
+    resample means, and their (1−α)-quantile."""
+    means = _resample_means(centered, b, rng)
+    stats = math.sqrt(centered.shape[0]) * np.linalg.norm(means @ w_half,
+                                                          axis=1)
+    return stats, _order_stat_quantile(stats, alpha)
+
+
+def _certify(build):
+    """``(build(), None)``, or ``(None, reason)`` when the certificate's
+    feasibility condition fails; any other error propagates."""
+    try:
+        return build(), None
+    except InfeasibleError as exc:
+        return None, str(exc)
+
+
 # ---------------------------------------------------------------------------
 # bootstrap ball quantile
 # ---------------------------------------------------------------------------
@@ -139,11 +157,9 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     if sigma2 is not None:
         ms = bootstrap_summary(s, sigma2=sigma2, weight=w_spd.matrix)
         certificate = bootstrap_delta(ms)
-    rng = substream(seed, "ball_quantile", 0)
-    means = _resample_means(s.data - s.mean(), B, rng)
-    stats = math.sqrt(s.n) * np.linalg.norm(means @ w_spd.sqrt(), axis=1)
-    return BootstrapResult(replicates=stats,
-                           quantile=_order_stat_quantile(stats, alpha),
+    stats, quantile = _ball_bootstrap(s.data - s.mean(), w_spd.sqrt(), B,
+                                      alpha, substream(seed, "ball_quantile"))
+    return BootstrapResult(replicates=stats, quantile=quantile,
                            certificate=certificate)
 
 
@@ -154,10 +170,10 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
 @dataclass(frozen=True)
 class ScoreTestResult:
     reject: bool
-    statistic: float        # R̃ on the raw (uncentered) score sum
-    threshold: float        # bootstrap quantile t*_α
+    statistic: float        # R̃ = ‖s‖²/n, or Rao's sᵀI⁻¹s; s the raw score sum
+    threshold: float        # bootstrap quantile t*_α, or Rao's χ²_d quantile
     certificate: Optional[BoundBreakdown] = None
-    certificate_error: Optional[str] = None
+    certificate_error: Optional[str] = None  # bootstrap test only
 
 
 def bootstrap_score_test(scores: Sample, alpha: float, B: int = 2000,
@@ -174,24 +190,13 @@ def bootstrap_score_test(scores: Sample, alpha: float, B: int = 2000,
         raise ValueError("need at least 2 score rows")
     certificate, cert_error = None, None
     if sigma2_s is not None:  # before the resampling, as in the ball quantile
-        try:
-            ms = score_summary(scores, sigma2_s=sigma2_s, info=info)
-            certificate = delta_R(ms)
-        except InfeasibleError as exc:
-            cert_error = str(exc)
+        certificate, cert_error = _certify(lambda: delta_R(
+            score_summary(scores, sigma2_s=sigma2_s, info=info)))
     rng = substream(seed, "score_boot", 0)
     statistic, threshold = _score_bootstrap(scores.data, B, alpha, rng)
     return ScoreTestResult(reject=statistic > threshold, statistic=statistic,
                            threshold=threshold, certificate=certificate,
                            certificate_error=cert_error)
-
-
-@dataclass(frozen=True)
-class RaoResult:
-    reject: bool
-    statistic: float        # R = sᵀ I⁻¹ s on the total score
-    threshold: float        # (1−α)-quantile of χ²_d
-    certificate: Optional[BoundBreakdown] = None
 
 
 def chi2_quantile(alpha: float, d: int) -> float:
@@ -204,7 +209,7 @@ def chi2_quantile(alpha: float, d: int) -> float:
 
 
 def rao_score_test(scores: Sample, info, alpha: float,
-                   moments: Optional[MomentSummary] = None) -> RaoResult:
+                   moments: Optional[MomentSummary] = None) -> ScoreTestResult:
     """Classical score test of the total score against the χ²_d quantile.
 
     ``info`` is the Fisher information of the full sample.  When a moment
@@ -219,8 +224,8 @@ def rao_score_test(scores: Sample, info, alpha: float,
     statistic = float(s @ np.linalg.solve(info_spd.matrix, s))
     threshold = chi2_quantile(alpha, scores.dim)
     certificate = score2_bound(moments) if moments is not None else None
-    return RaoResult(reject=statistic > threshold, statistic=statistic,
-                     threshold=threshold, certificate=certificate)
+    return ScoreTestResult(reject=statistic > threshold, statistic=statistic,
+                           threshold=threshold, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +290,19 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
     # the pilot draws from its own substream
     certificate, cert_error = None, None
     if sigma2 is not None:
-        try:
-            pilot_rng = substream(seed, "coverage_pilot", 0)
-            pilot = spec.sample(max(n, COVERAGE_PILOT_N),
-                                seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
-            ms = bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix,
-                                   n=n)
-            certificate = delta_W(ms)
-        except InfeasibleError as exc:
-            cert_error = str(exc)
+        pilot_rng = substream(seed, "coverage_pilot", 0)
+        pilot = spec.sample(max(n, COVERAGE_PILOT_N),
+                            seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
+        certificate, cert_error = _certify(lambda: delta_W(replace(
+            bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix),
+            n=n)))
 
     hits = 0
     for trial in range(trials):
         rng = substream(seed, "coverage", trial)
         data = spec.sample(n, seed=int(rng.integers(0, 2 ** 63 - 1))).data
         xbar = data.mean(axis=0)
-        means = _resample_means(data - xbar, B, rng)
-        stats = math.sqrt(n) * np.linalg.norm(means @ w_half, axis=1)
-        q_star = _order_stat_quantile(stats, alpha)
+        _, q_star = _ball_bootstrap(data - xbar, w_half, B, alpha, rng)
         # every family has mean 0
         observed = math.sqrt(n) * float(np.linalg.norm(w_half @ xbar))
         hits += observed <= q_star

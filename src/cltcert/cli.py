@@ -76,8 +76,22 @@ def _load_matrix(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _load_moments(path: str) -> MomentSummary:
+    with open(path, "r", encoding="utf-8") as fh:
+        return MomentSummary.from_json(fh.read())
+
+
 def _csv_cell(value) -> str:
     return "" if value is None else repr(float(value))
+
+
+def _search(kind: str, a: Sample, b: Sample, args):
+    """The ball or half-space distance estimate between ``a`` and ``b``."""
+    if kind == "ball":
+        return delta_B_hat(a, b, n_centers=args.centers, seed=args.seed,
+                           n_boot=args.boot)
+    return delta_H_hat(a, b, n_dirs=args.centers, seed=args.seed,
+                       n_boot=args.boot)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +131,7 @@ def _bound_summary(args, theorem: Theorem) -> MomentSummary:
                if dest not in reads],
         f"--theorem {args.theorem} with {source}")
     if args.moments:
-        with open(args.moments, "r", encoding="utf-8") as fh:
-            return MomentSummary.from_json(fh.read())
+        return _load_moments(args.moments)
     if not args.from_sample:
         raise ValueError("supply either --moments or --from-sample")
     x = Sample.from_csv(args.from_sample)
@@ -189,14 +202,8 @@ def _cmd_verify_constants(args) -> int:
 def _cmd_distance(args) -> int:
     a = Sample.from_csv(args.sample_a)
     b = Sample.from_csv(args.sample_b)
-    if args.kind == "ball":
-        est = delta_B_hat(a, b, n_centers=args.centers, seed=args.seed,
-                          n_boot=args.boot)
-        _emit(est.to_json(), args.out)
-    elif args.kind == "halfspace":
-        est = delta_H_hat(a, b, n_dirs=args.centers, seed=args.seed,
-                          n_boot=args.boot)
-        _emit(est.to_json(), args.out)
+    if args.kind in ("ball", "halfspace"):
+        _emit(_search(args.kind, a, b, args).to_json(), args.out)
     else:
         if a.dim != 1 or b.dim != 1:
             raise ValueError(f"--kind {args.kind} needs one-dimensional data")
@@ -213,6 +220,13 @@ def _cmd_distance(args) -> int:
 
 def _breakdown_payload(bb):
     return None if bb is None else json.loads(bb.to_json())
+
+
+def _score_payload(res) -> dict:
+    """The decision, statistic, quantile and certificate of a score test."""
+    return {"decision": "reject" if res.reject else "accept",
+            "statistic": res.statistic, "quantile": res.threshold,
+            "certificate": _breakdown_payload(res.certificate)}
 
 
 def _cmd_bootstrap(args) -> int:
@@ -233,10 +247,8 @@ def _cmd_bootstrap(args) -> int:
                                    info=info)
         payload = {"test": "bootstrap-score", "alpha": args.alpha,
                    "B": args.B, "seed": args.seed,
-                   "decision": "reject" if res.reject else "accept",
-                   "statistic": res.statistic, "quantile": res.threshold,
-                   "certificate": _breakdown_payload(res.certificate),
-                   "certificate_error": res.certificate_error}
+                   "certificate_error": res.certificate_error,
+                   **_score_payload(res)}
     _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -246,16 +258,10 @@ def _cmd_score_test(args) -> int:
     if not args.info:
         raise ValueError("score-test requires --info (Fisher information of "
                          "the full sample)")
-    moments = None
-    if args.moments:
-        with open(args.moments, "r", encoding="utf-8") as fh:
-            moments = MomentSummary.from_json(fh.read())
+    moments = _load_moments(args.moments) if args.moments else None
     res = rao_score_test(data, _load_matrix(args.info), alpha=args.alpha,
                          moments=moments)
-    payload = {"test": "rao", "alpha": args.alpha,
-               "decision": "reject" if res.reject else "accept",
-               "statistic": res.statistic, "quantile": res.threshold,
-               "certificate": _breakdown_payload(res.certificate)}
+    payload = {"test": "rao", "alpha": args.alpha, **_score_payload(res)}
     _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -313,12 +319,7 @@ def _experiment_same_law(args, estimator: str) -> list[str]:
                                    n_null=args.null_runs,
                                    n_cal=args.calibration_n, seed=args.seed,
                                    n_centers=args.centers)
-    if estimator == "ball":
-        est = delta_B_hat(a, b, n_centers=args.centers, seed=args.seed,
-                          n_boot=args.boot)
-    else:
-        est = delta_H_hat(a, b, n_dirs=args.centers, seed=args.seed,
-                          n_boot=args.boot)
+    est = _search(estimator, a, b, args)
     verdict = "below" if est.value < threshold else "ABOVE"
     _note(f"same-law {estimator}: estimate {est.value:.5f} is {verdict} "
           f"the calibrated null threshold {threshold:.5f}")
@@ -351,9 +352,8 @@ def _experiment_normal_sweep(args) -> list[str]:
         rng = np.random.default_rng(args.seed + 1)
         z = rng.multivariate_normal(np.zeros(args.d), cov, size=blocks,
                                     method="eigh")
-        est = delta_B_hat(Sample(s_n), Sample(z), n_centers=args.centers,
-                          seed=args.seed, n_boot=args.boot)
-        ms = summarize_sample(x, sigma=cov, n=n, with_op_norms=False)
+        est = _search("ball", Sample(s_n), Sample(z), args)
+        ms = summarize_sample(x, sigma=cov, with_op_norms=False)
         bound = bound_ball_normal(ms)
         rows.append(_sweep_row(args.d, n, args.family, est.value, est.stderr,
                                bound.total, args.seed))

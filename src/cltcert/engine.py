@@ -836,16 +836,16 @@ def _fourth_op(rows: Sample, wanted: bool) -> Optional[float]:
     return operator_norm(empirical_moment(rows, 4)).value if wanted else None
 
 
-def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
+def summarize_sample(x: Sample, sigma=None,
                      with_op_norms: bool = True) -> MomentSummary:
     """Empirical one-sample summary: Σ's scalars and the whitened moments
     that the one-sample theorems read.
 
     ``sigma`` supplies a known covariance; otherwise the biased sample
-    covariance is used.  ``n`` overrides the sum length the bound is for
-    (defaults to the sample size).  ``with_op_norms`` builds the operator
-    norms ``x_w3_op`` and ``x_w4_op``, which only the half-space theorems
-    read; the ball theorems take the Frobenius norm of the third moment.
+    covariance is used.  For another n, use ``dataclasses.replace(ms, n=...)``.
+    ``with_op_norms`` builds the operator norms ``x_w3_op`` and ``x_w4_op``,
+    which only the half-space theorems read; the ball theorems take the
+    Frobenius norm of the third moment.
     """
     spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
     w = whiten(_centered(x), spd)
@@ -854,8 +854,8 @@ def summarize_sample(x: Sample, sigma=None, n: Optional[int] = None,
     w4_op = _fourth_op(w, with_op_norms)
     f, o = _third_norms(empirical_moment(w, 3), with_op_norms)
     return MomentSummary(
-        d=x.dim, n=n if n is not None else x.n, x_w3_frob=f, x_w3_op=o,
-        x_w4_mean=_fourth_mean(w), x_w4_op=w4_op, **_sigma_stats(spd))
+        d=x.dim, n=x.n, x_w3_frob=f, x_w3_op=o, x_w4_mean=_fourth_mean(w),
+        x_w4_op=w4_op, **_sigma_stats(spd))
 
 
 def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
@@ -911,15 +911,15 @@ def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix, sigma2: float,
         **_sigma_stats(spd))
 
 
-def bootstrap_summary(x: Sample, sigma2: float, sigma=None, weight=None,
-                      n: Optional[int] = None) -> MomentSummary:
+def bootstrap_summary(x: Sample, sigma2: float, sigma=None,
+                      weight=None) -> MomentSummary:
     """Moment summary for the bootstrap certificates.
 
     ``sigma2`` is the user-supplied sub-Gaussian variance factor of the
     (possibly ``weight``^{1/2}-transformed) coordinates.  ``weight`` is the
     p.d. matrix W of an elliptical confidence set; when given, observations
-    are transformed by W^{1/2} before summarizing.  ``n`` overrides the sum
-    length the bound is for (defaults to the sample size).
+    are transformed by W^{1/2} before summarizing.  For a certificate at
+    another n, use ``dataclasses.replace(ms, n=...)``.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -927,8 +927,7 @@ def bootstrap_summary(x: Sample, sigma2: float, sigma=None, weight=None,
         x = Sample(x.data @ SpdMatrix.coerce(weight).sqrt())
     centered = _centered(x)
     spd = SpdMatrix.coerce(centered.covariance() if sigma is None else sigma)
-    return _sub_gaussian_summary(centered, spd, sigma2,
-                                 n if n is not None else x.n)
+    return _sub_gaussian_summary(centered, spd, sigma2, x.n)
 
 
 def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:

@@ -3,7 +3,8 @@ smoothing construction.
 
 The benchmark families of :data:`FAMILIES` are fixed standardized laws:
 centered, with covariance I_d.  Reproducibility contract: every sampler is a
-pure function of ``(d, n, seed)``.  Derived randomness uses
+pure function of ``(d, n, seed)``, and a seed that is not an integer (such as
+``None``, which would draw OS entropy) is refused.  Derived randomness uses
 :func:`substream`, which splits a root seed into named, order-independent
 child streams, so parallel replicates never share or race a generator.
 """
@@ -37,6 +38,13 @@ __all__ = [
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` if it is an integer (not a bool), else ``ValueError``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed
+
+
 def substream(root_seed: int, name: str, index: int = 0) -> np.random.Generator:
     """Named child generator of a root seed.
 
@@ -44,7 +52,8 @@ def substream(root_seed: int, name: str, index: int = 0) -> np.random.Generator:
     given purpose always sees the same stream regardless of evaluation order.
     """
     key = (zlib.crc32(name.encode("utf-8")), int(index))
-    return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=key))
+    return np.random.default_rng(
+        np.random.SeedSequence(_check_seed(root_seed), spawn_key=key))
 
 
 # kept out of __all__: the bench tracer wraps every exported name, and this
@@ -126,7 +135,7 @@ def alpha_law(beta: float) -> TwoPointLaw:
 def sample_gaussian(sigma, n: int, seed: int) -> Sample:
     """n i.i.d. rows from 𝒩(0, Σ)."""
     spd = SpdMatrix.coerce(sigma)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     return Sample(rng.standard_normal((n, spd.dim)) @ spd.sqrt())
 
 
@@ -136,7 +145,7 @@ def sample_portnoy(d: int, n: int, seed: int) -> Sample:
     Conditionally on u the row is 𝒩(0, u² I_d); unconditionally 𝔼X = 0 and
     Var X = I_d, with heavy fourth moments ( 𝔼x_j⁴ = 9 per coordinate).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     z = rng.standard_normal((n, d))
     u = rng.standard_normal(n)
     return Sample(z * u[:, None])
@@ -150,7 +159,7 @@ def sample_symmetric_L(d: int, n: int, seed: int) -> Sample:
     Var L = I_d exactly.  The law is symmetric (all odd moments vanish) with
     non-Gaussian fourth moments: 𝔼L_j⁴ = 9.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     c1 = math.sqrt(1.0 - math.sqrt(0.4))
     c2 = 0.4 ** 0.25
     z_tilde = rng.standard_normal((n, d))
@@ -162,13 +171,13 @@ def sample_symmetric_L(d: int, n: int, seed: int) -> Sample:
 
 def sample_laplace_product(d: int, n: int, seed: int) -> Sample:
     """Product measure with standardized double-exponential coordinates."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     return Sample(rng.laplace(0.0, _LAPLACE_SCALE, (n, d)))
 
 
 def sample_exponential_centered(d: int, n: int, seed: int) -> Sample:
     """Product measure with Exp(1) − 1 coordinates (skewed, variance 1)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     return Sample(rng.exponential(1.0, (n, d)) - 1.0)
 
 

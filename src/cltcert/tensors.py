@@ -228,42 +228,31 @@ class Sample:
         return centered.T @ centered / self.n
 
     # ---- CSV round-trip ----------------------------------------------------
-    def to_csv(self, path_or_buf) -> None:
-        close = False
-        if isinstance(path_or_buf, (str,)):
-            fh = open(path_or_buf, "w", newline="")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
+    def to_csv(self, path: str) -> None:
+        """Write the header ``x1,…,xd`` and the rows, as exact reprs."""
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x{j + 1}" for j in range(self.dim)])
             for row in self.data:
                 writer.writerow([repr(float(v)) for v in row])
-        finally:
-            if close:
-                fh.close()
 
     @classmethod
-    def from_csv(cls, path_or_buf) -> "Sample":
-        close = False
-        if isinstance(path_or_buf, str):
-            fh = open(path_or_buf, "r", newline="")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            header = next(csv.reader(fh), None)
-            with warnings.catch_warnings():
-                # an empty body is reported below, not as loadtxt's warning
-                warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(fh, delimiter=",", comments=None,
-                                 quotechar='"', ndmin=2)
-        finally:
-            if close:
-                fh.close()
+    def from_csv(cls, path: str) -> "Sample":
+        """Read the CSV file at ``path``: one header record, which may be
+        quoted and span several lines, then one row of d numbers per line.
+        A field may be quoted and blank lines are skipped; the header only
+        sets the width d."""
+        with open(path, "r", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
         if header is None:
             raise ValueError("CSV sample is empty")
+        with warnings.catch_warnings():
+            # an empty body is reported below, not as loadtxt's warning
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", comments=None,
+                             quotechar='"', ndmin=2,
+                             skiprows=reader.line_num)
         if arr.size == 0:
             raise ValueError("CSV sample has a header but no rows")
         if arr.shape[1] != len(header):

@@ -9,7 +9,6 @@ output) and asserts its documented runtime budget.
 """
 
 import itertools
-import json
 import math
 import subprocess
 import sys

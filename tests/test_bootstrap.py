@@ -16,7 +16,7 @@ from cltcert.bootstrap import (
     rao_score_test,
     score_level_experiment,
 )
-from cltcert.engine import InfeasibleError, MomentSummary
+from cltcert.engine import MomentSummary
 from cltcert.samplers import DistributionSpec, sample_gaussian
 from cltcert.tensors import Sample, SpdError
 

@@ -648,7 +648,8 @@ def test_sigma2_below_the_coordinate_variance_is_flagged():
     x = sample_gaussian(np.eye(3), 4000, seed=13)
     var = float(x.data.var(axis=0).max())
     for sigma2, below in ((0.05, True), (5.0, False)):
-        ms = bootstrap_summary(x, sigma2=sigma2, n=10 ** 8)
+        ms = dataclasses.replace(bootstrap_summary(x, sigma2=sigma2),
+                                 n=10 ** 8)
         assert ms.coord_var_max == pytest.approx(var, rel=1e-12)
         assert bootstrap_delta(ms).inputs["sigma2_below_variance"] is below
         msr = score_summary(x, sigma2_s=sigma2)
@@ -656,8 +657,8 @@ def test_sigma2_below_the_coordinate_variance_is_flagged():
         bb = delta_R(dataclasses.replace(msr, n=10 ** 8))
         assert bb.inputs["sigma2_below_variance"] is below
     # with a weight W the rows summarized are W^{1/2}x: variances near 100
-    msw = bootstrap_summary(x, sigma2=5.0, weight=100.0 * np.eye(3),
-                            n=10 ** 8)
+    msw = dataclasses.replace(
+        bootstrap_summary(x, sigma2=5.0, weight=100.0 * np.eye(3)), n=10 ** 8)
     assert msw.coord_var_max == pytest.approx(100.0 * var, rel=1e-9)
     assert delta_W(msw).inputs["sigma2_below_variance"] is True
     # a summary that does not record the variance carries no flag

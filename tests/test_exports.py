@@ -10,7 +10,8 @@ checked against the package here, without installing the tracer.
 A defaulted parameter of a public function that no call inside the package
 passes is a setting nothing uses, so every such parameter must be passed
 somewhere in ``src/cltcert`` or be listed, with its reason, as an
-exception.
+exception.  Likewise every name a package or test module imports must be
+read in that module or listed in its ``__all__``.
 """
 
 import ast
@@ -148,3 +149,32 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
                         or (index is not None and index < positions[name])):
                     unpassed.add((module, name, param))
     assert unpassed == set(UNPASSED_DEFAULTS)
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _unused_imports(tree) -> set:
+    """The names ``tree`` imports but neither reads nor lists in its
+    ``__all__``; ``from __future__`` imports are compiler directives."""
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and [
+                getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read - exported
+
+
+def test_every_imported_name_is_used():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[f"{path.parent.name}/{path.name}"] = sorted(names)
+    assert unused == {}

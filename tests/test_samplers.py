@@ -1,13 +1,13 @@
 """Distribution zoo, two-point law, construction Y, concentration helpers."""
 
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from cltcert import cli
+from cltcert.distances import delta_B_hat
 from cltcert.samplers import (
     FAMILIES,
     DistributionSpec,
@@ -231,6 +231,28 @@ def test_substream_is_named_and_order_independent():
     np.testing.assert_array_equal(a0, a0_again)
     assert not np.allclose(a0, a1)
     assert not np.allclose(a0, b)
+
+
+def test_a_seed_that_is_not_an_integer_is_rejected():
+    # None would draw fresh OS entropy, so a run could not be repeated
+    a = sample_gaussian(np.eye(2), 40, 1)
+    b = Sample(sample_gaussian(np.eye(2), 40, 2).data + 0.5)
+    for seed in (None, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            substream(seed, "x")
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                DistributionSpec(family, 2).sample(2, seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            delta_B_hat(a, b, n_centers=8, seed=seed, n_boot=5)
+    # an int and a numpy integer both draw what they drew before the check
+    for seed in (7, np.int64(7)):
+        assert substream(seed, "x", 2).random() == 0.7625790211345347
+        assert DistributionSpec("laplace_product", 2).sample(2, seed) \
+            .data.tolist() == [[0.20360198073015245, 1.1186125258449549],
+                               [0.5667884136218652, -0.563979371116957]]
+        est = delta_B_hat(a, b, n_centers=8, seed=seed, n_boot=5)
+        assert (est.value, est.stderr) == (0.475, 0.1691892431568863)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tensor core: moments, norms, SPD wrapper, Hermite integrals."""
 
-import io
 import itertools
 import math
 
@@ -367,18 +366,18 @@ def test_spd_refuses_ill_conditioned_inverse_sqrt():
 # Sample container
 # ---------------------------------------------------------------------------
 
-def test_sample_csv_round_trip_and_determinism():
+def test_sample_csv_round_trip_and_determinism(tmp_path):
     rng = np.random.default_rng(41)
     s = Sample(rng.standard_normal((17, 3)))
-    buf = io.StringIO()
-    s.to_csv(buf)
-    text = buf.getvalue()
+    path = tmp_path / "x.csv"
+    s.to_csv(str(path))
+    text = path.read_text()
     assert text.splitlines()[0] == "x1,x2,x3"
-    s2 = Sample.from_csv(io.StringIO(text))
+    s2 = Sample.from_csv(str(path))
     np.testing.assert_array_equal(s.data, s2.data)
-    buf2 = io.StringIO()
-    s2.to_csv(buf2)
-    assert buf2.getvalue() == text
+    again = tmp_path / "again.csv"
+    s2.to_csv(str(again))
+    assert again.read_text() == text
 
 
 @pytest.mark.parametrize("text", [
@@ -390,9 +389,11 @@ def test_sample_csv_round_trip_and_determinism():
     "x1,x2\n1.0,abc\n",             # not a number
     "",                             # no header
 ])
-def test_sample_from_csv_rejects_malformed_input(text, recwarn):
+def test_sample_from_csv_rejects_malformed_input(text, tmp_path, recwarn):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
     with pytest.raises(ValueError):
-        Sample.from_csv(io.StringIO(text))
+        Sample.from_csv(str(path))
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
@@ -401,8 +402,23 @@ def test_sample_from_csv_reads_files_and_quoted_fields(tmp_path):
     path.write_text('x1,"x2"\n"1.5",-2e-3\n\n3,4\n')
     s = Sample.from_csv(str(path))
     np.testing.assert_array_equal(s.data, [[1.5, -2e-3], [3.0, 4.0]])
-    one = Sample.from_csv(io.StringIO("x1\n0.25\n"))
-    assert one.data.shape == (1, 1)
+    path.write_text("x1\n0.25\n")
+    assert Sample.from_csv(str(path)).data.shape == (1, 1)
+
+
+# each file's bytes, all parsing to the same rows: the header is read as
+# one CSV record, so the body starts after however many lines it spans
+@pytest.mark.parametrize("raw", [
+    b"x1,x2\r\n1.5,-2\r\n3,4e-3\r\n",
+    "\ufeffx1,x2\n1.5,-2\n3,4e-3\n".encode("utf-8"),
+    b'"x\n1",x2\n1.5,-2\n3,4e-3\n',
+    b'x1,x2\n\n"1.5","-2"\n\n"3",4e-3\n\n',
+], ids=["crlf", "utf8-bom", "two-line-header", "quoted-fields-blank-lines"])
+def test_sample_from_csv_parses_line_ends_bom_and_quoting(raw, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(raw)
+    data = Sample.from_csv(str(path)).data
+    assert data.tolist() == [[1.5, -2.0], [3.0, 0.004]]
 
 
 def test_sample_csv_round_trip_is_bit_exact(tmp_path):
