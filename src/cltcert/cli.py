@@ -26,9 +26,8 @@ from .bootstrap import (
     score_level_experiment,
 )
 from .distances import (
+    _search,
     anti_concentration_probe,
-    delta_B_hat,
-    delta_H_hat,
     ks_two_sample_1d,
     levy_distance_1d,
     portnoy_scaling_experiment,
@@ -83,15 +82,6 @@ def _load_moments(path: str) -> MomentSummary:
 
 def _csv_cell(value) -> str:
     return "" if value is None else repr(float(value))
-
-
-def _search(kind: str, a: Sample, b: Sample, args):
-    """The ball or half-space distance estimate between ``a`` and ``b``."""
-    if kind == "ball":
-        return delta_B_hat(a, b, n_centers=args.centers, seed=args.seed,
-                           n_boot=args.boot)
-    return delta_H_hat(a, b, n_dirs=args.centers, seed=args.seed,
-                       n_boot=args.boot)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +193,8 @@ def _cmd_distance(args) -> int:
     a = Sample.from_csv(args.sample_a)
     b = Sample.from_csv(args.sample_b)
     if args.kind in ("ball", "halfspace"):
-        _emit(_search(args.kind, a, b, args).to_json(), args.out)
+        est = _search(args.kind, a, b, args.centers, args.seed, args.boot)
+        _emit(est.to_json(), args.out)
     else:
         if a.dim != 1 or b.dim != 1:
             raise ValueError(f"--kind {args.kind} needs one-dimensional data")
@@ -319,7 +310,7 @@ def _experiment_same_law(args, estimator: str) -> list[str]:
                                    n_null=args.null_runs,
                                    n_cal=args.calibration_n, seed=args.seed,
                                    n_centers=args.centers)
-    est = _search(estimator, a, b, args)
+    est = _search(estimator, a, b, args.centers, args.seed, args.boot)
     verdict = "below" if est.value < threshold else "ABOVE"
     _note(f"same-law {estimator}: estimate {est.value:.5f} is {verdict} "
           f"the calibrated null threshold {threshold:.5f}")
@@ -352,7 +343,8 @@ def _experiment_normal_sweep(args) -> list[str]:
         rng = np.random.default_rng(args.seed + 1)
         z = rng.multivariate_normal(np.zeros(args.d), cov, size=blocks,
                                     method="eigh")
-        est = _search("ball", Sample(s_n), Sample(z), args)
+        est = _search("ball", Sample(s_n), Sample(z), args.centers,
+                      args.seed, args.boot)
         ms = summarize_sample(x, sigma=cov, with_op_norms=False)
         bound = bound_ball_normal(ms)
         rows.append(_sweep_row(args.d, n, args.family, est.value, est.stderr,

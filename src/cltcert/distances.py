@@ -327,6 +327,16 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
                    f"halfspaces:{n_dirs}sphere+{d}axes")
 
 
+def _search(kind: str, sa: Sample, sb: Sample, n_candidates: int, seed: int,
+            n_boot: int) -> DistanceEstimate:
+    """The ball (``kind == "ball"``, ``n_candidates`` centers) or
+    half-space (``n_candidates`` directions) distance estimate."""
+    if kind == "ball":
+        return delta_B_hat(sa, sb, n_centers=n_candidates, seed=seed,
+                           n_boot=n_boot)
+    return delta_H_hat(sa, sb, n_dirs=n_candidates, seed=seed, n_boot=n_boot)
+
+
 def same_law_threshold(d: int, n: int, estimator: str = "ball",
                        n_null: int = 200, n_cal: int = 4096,
                        seed: int = 0, n_centers: int = 64) -> float:
@@ -351,11 +361,7 @@ def same_law_threshold(d: int, n: int, estimator: str = "ball",
         rng = substream(seed, f"null:{estimator}", run)
         a = Sample(rng.standard_normal((n_cal, d)))
         b = Sample(rng.standard_normal((n_cal, d)))
-        if estimator == "ball":
-            est = delta_B_hat(a, b, n_centers=n_centers, seed=seed, n_boot=0)
-        else:
-            est = delta_H_hat(a, b, n_dirs=n_centers, seed=seed, n_boot=0)
-        vals[run] = est.value
+        vals[run] = _search(estimator, a, b, n_centers, seed, 0).value
     q = float(np.quantile(vals, NULL_QUANTILE, method="higher"))
     return q * NULL_MARGIN * math.sqrt(n_cal / n)
 

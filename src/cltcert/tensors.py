@@ -14,13 +14,13 @@ both forms are linear in the moment.  A form holds at most 2^28 cells
 (d ≤ 180 at order 4).
 
 ``empirical_moment`` adds one GEMM per chunk of rows of the products
-x_i·x_j (i ≤ j) and scales the sum once, and ``operator_norm`` runs every
-power iteration start at once, one GEMM with C or G per step.  Both keep
-their blocks within ``CHUNK_CELLS`` cells, so beyond the form their memory
-grows with neither n nor the number of starts.
+x_i·x_j (i ≤ j) and scales the sum once; its chunks stay within
+``CHUNK_CELLS`` cells, so beyond the form its memory does not grow with n.
 The Efron kernel's count block and the half-space projection blocks share
 the budget: 2 MB of 8-byte cells, one core's L2 cache on the benchmark host,
-so a block is still in cache when its GEMM reads it.
+so a block is still in cache when its GEMM reads it.  ``operator_norm``
+runs every power iteration start at once, one GEMM with C or G per step;
+its few starts need d² + 2D cells each, a small share of the form.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ class MomentTensor:
         arr = np.asarray(self.data, dtype=float)
         if arr.shape != shape:
             raise TensorShapeError(f"expected shape {shape}, got {arr.shape}")
+        if not np.isfinite((arr.min(), arr.max())).all():
+            raise ValueError("moment form has non-finite entries")
         object.__setattr__(self, "data", arr)
 
     # ---- algebra ---------------------------------------------------------
@@ -242,7 +244,7 @@ class Sample:
         quoted and span several lines, then one row of d numbers per line.
         A field may be quoted and blank lines are skipped; the header only
         sets the width d."""
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
         if header is None:
@@ -265,10 +267,10 @@ class Sample:
 # --------------------------------------------------------------------------
 
 # cells of one block that a chunked kernel builds at once: the p(x) blocks
-# (D × rows) of empirical_moment, the start blocks of operator_norm, the
-# count block (replicates × n) of bootstrap._resample_means and the
-# projection blocks (directions × pooled rows) of distances.delta_H_hat; 2 MB
-# of 8-byte cells, one core's L2 cache on the benchmark host
+# (D × rows) of empirical_moment, the count block (replicates × n) of
+# bootstrap._resample_means and the projection blocks (directions × pooled
+# rows) of distances.delta_H_hat; 2 MB of 8-byte cells, one core's L2 cache
+# on the benchmark host
 CHUNK_CELLS = 2 ** 18
 
 # operator_norm's power iteration: random starts beyond the canonical ones,
@@ -361,33 +363,46 @@ def _power_starts(d: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _power_block(form: np.ndarray, v: np.ndarray, order: int,
-                 shift: float):
-    """Shifted power iteration of the rows of ``v`` on A, where ``form`` is
-    the Sym² form of A.  Returns, per start, the final Rayleigh value
-    f(v) = ⟨A, v^{⊗k}⟩, its iteration count and whether it met the
-    fixed-point test; a start stops as soon as it converges.  The update
-    w = A(·, v, …, v) + shift·v never vanishes: ⟨v, w⟩ = f(v) + shift > 0,
-    since |f(v)| ≤ ‖A‖_F on the unit sphere and shift > k·‖A‖_F."""
-    s, d = v.shape
+def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
+    """Estimate ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩| for a symmetric tensor.
+
+    Uses shifted symmetric higher-order power iteration on A from canonical
+    basis vectors, normalized e_i ± e_j pairs (small d) and
+    ``POWER_RESTARTS`` random unit starts, keeping the largest stationary
+    |f(v)| = |⟨A, v^{⊗k}⟩|.  All starts iterate together as the rows of one
+    matrix, contracted through the Sym² form: A(·, v, v) = C·m(v) at order
+    3, and A(·, v, v, v) = U(v)·v at order 4, where the symmetric d×d U(v)
+    is read off G·m(v).  A step is one GEMM with the form, and a start
+    leaves the matrix once it converges; beyond the form, a start holds the
+    d² + 2D cells of its U(v), m(v) and G·m(v).  The result is always a
+    lower bound on the true norm; ``converged`` reports whether every start
+    reached the fixed-point tolerance, and ``iterations`` sums the steps of
+    all starts.  An order-4 input must be a fourth-moment tensor, whose form
+    𝔼⟨X, v⟩⁴ is never negative: for any other order-4 tensor the result can
+    miss a negative extreme of f.
+    """
+    k, d, form = tensor.order, tensor.dim, tensor.data
+    # monotonicity shift: |f''| on the sphere is at most k(k-1)·‖A‖_F, so the
+    # update w = A(·, v, …, v) + shift·v is convex and never vanishes
+    # (⟨v, w⟩ = f(v) + shift > 0); taken first, so its form-sized temporary
+    # is freed before the starts' blocks exist
+    shift = k * frobenius_norm(tensor) + 1e-30
+    v = _power_starts(d)
     iu, ju, weight = _sym2_basis(d)
-    u_block = np.empty((s, d, d)) if order == 4 else None
+    u_block = np.empty((v.shape[0], d, d)) if k == 4 else None
 
     def contract(rows):
         # A(·, v, …, v) for every row v, through m(v) and one GEMM; the
         # starts are few, so m(v) is one fancy product
         m = rows[:, iu] * rows[:, ju] * weight
-        if order == 3:
+        if k == 3:
             return m @ form.T
         # G·m(v) is m(U(v)) for the symmetric U(v) = A(·, ·, v, v)
         u = u_block[:rows.shape[0]]
         u[:, iu, ju] = u[:, ju, iu] = m @ form / weight
         return np.matmul(u, rows[:, :, None])[:, :, 0]
 
-    fval = np.empty(s)
-    iters = np.full(s, POWER_MAX_ITER)
-    converged = np.zeros(s, dtype=bool)
-    active = np.arange(s)
+    best, iterations = 0.0, 0
     g = contract(v)
     f = np.einsum("ij,ij->i", g, v)
     for it in range(POWER_MAX_ITER):
@@ -400,47 +415,15 @@ def _power_block(form: np.ndarray, v: np.ndarray, order: int,
             np.abs(f_new - f) <= POWER_TOL * np.maximum(1.0, np.abs(f_new)))
         v, f = v_new, f_new
         if done.any():
-            fval[active[done]] = f[done]
-            iters[active[done]] = it + 1
-            converged[active[done]] = True
+            best = float(np.abs(f[done]).max(initial=best))
+            iterations += (it + 1) * int(done.sum())
             keep = ~done
-            active, v, g, f = active[keep], v[keep], g[keep], f[keep]
-            if not active.size:
+            v, g, f = v[keep], g[keep], f[keep]
+            if not f.size:
                 break
-    fval[active] = f
-    return fval, iters, converged
-
-
-def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
-    """Estimate ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩| for a symmetric tensor.
-
-    Uses shifted symmetric higher-order power iteration on A from canonical
-    basis vectors, normalized e_i ± e_j pairs (small d) and
-    ``POWER_RESTARTS`` random unit starts, keeping the largest stationary
-    |f(v)| = |⟨A, v^{⊗k}⟩|.  All starts iterate together as the rows of one
-    matrix, contracted through the Sym² form: A(·, v, v) = C·m(v) at order
-    3, and A(·, v, v, v) = U(v)·v at order 4, where the symmetric d×d U(v)
-    is read off G·m(v).  A step is one GEMM with the form, in blocks of
-    starts whose U(v) fit in ``CHUNK_CELLS`` cells, and a start leaves its
-    block once it converges.  The result is always a lower bound on the
-    true norm; ``converged`` reports whether every start reached the
-    fixed-point tolerance, and ``iterations`` sums the steps of all starts.
-    An order-4 input must be a fourth-moment tensor, whose form 𝔼⟨X, v⟩⁴ is
-    never negative: for any other order-4 tensor the result can miss a
-    negative extreme of f.
-    """
-    k, d, data = tensor.order, tensor.dim, tensor.data
-    v = _power_starts(d)
-    # monotonicity shift: |f''| along the sphere is bounded by k(k-1)·‖A‖_F,
-    # so this shift convexifies the update for every start
-    shift = k * float(np.sqrt(np.sum(data ** 2))) + 1e-30
-    # a block's m(v) rows, G·m(v) and U(v) each fit in CHUNK_CELLS cells
-    step = max(1, CHUNK_CELLS // (d * d))
-    fval, iters, converged = (np.concatenate(parts) for parts in zip(*(
-        _power_block(data, v[i:i + step], k, shift)
-        for i in range(0, v.shape[0], step))))
-    return OperatorNormResult(float(np.nanmax(np.abs(fval), initial=0.0)),
-                              bool(converged.all()), int(iters.sum()))
+    best = float(np.abs(f).max(initial=best))
+    iterations += POWER_MAX_ITER * f.size
+    return OperatorNormResult(best, not f.size, iterations)
 
 
 def whiten(sample: Sample, sigma: SpdMatrix) -> Sample:

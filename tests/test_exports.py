@@ -11,7 +11,9 @@ A defaulted parameter of a public function that no call inside the package
 passes is a setting nothing uses, so every such parameter must be passed
 somewhere in ``src/cltcert`` or be listed, with its reason, as an
 exception.  Likewise every name a package or test module imports must be
-read in that module or listed in its ``__all__``.
+read in that module or listed in its ``__all__``, and every private
+function or constant a package module defines must be read somewhere in the
+package outside its own definition.
 """
 
 import ast
@@ -21,7 +23,7 @@ import importlib.util
 import inspect
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -178,3 +180,40 @@ def test_every_imported_name_is_used():
         if names:
             unused[f"{path.parent.name}/{path.name}"] = sorted(names)
     assert unused == {}
+
+
+def _reads(node) -> list:
+    """The names ``node`` reads, as a ``Name`` or as an ``Attribute``."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)]
+
+
+def _private_functions_and_constants(tree):
+    """(name, defining node) of each module-level private function and each
+    module-level assigned name but ``__all__`` and ``__version__``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                if (isinstance(t, ast.Name)
+                        and t.id not in ("__all__", "__version__")):
+                    yield t.id, node
+
+
+def test_every_private_function_and_constant_is_read():
+    # the names no public-name check sees: a private helper or a module
+    # constant that nothing in the package reads outside its own
+    # definition has no caller, so it is deleted
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = Counter(itertools.chain.from_iterable(map(_reads,
+                                                      trees.values())))
+    unread = [(module, name) for module, tree in trees.items()
+              for name, node in _private_functions_and_constants(tree)
+              if reads[name] <= _reads(node).count(name)]
+    assert unread == []

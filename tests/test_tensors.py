@@ -118,6 +118,22 @@ def test_moment_tensor_shape_validation():
         MomentTensor(4, 181, np.zeros(1))
 
 
+def test_moment_tensor_refuses_non_finite_forms():
+    # a NaN or infinite form has no operator norm to estimate, and the
+    # power iteration's lower estimate would read 0 for it
+    for bad in (np.nan, np.inf, -np.inf):
+        for k, shape in ((3, (2, 3)), (4, (3, 3))):
+            data = np.zeros(shape)
+            data[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                MomentTensor(k, 2, data)
+    # finite rows whose fourth-order products overflow
+    rows = Sample(np.full((4, 2), 1e160))
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="non-finite"):
+        empirical_moment(rows, 4)
+
+
 def test_empirical_moment_matches_naive_loop():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((40, 3))
@@ -240,12 +256,12 @@ def test_operator_norm_matches_golden_values(d):
 
 
 def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
-    # 33 starts of d² = 25-cell U(v) in blocks of 7
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 25)
+    # at d = 5 most of the 33 starts leave the matrix of starts as they
+    # converge and the rest reach the cap; at a 40-step cap all 17 starts at
+    # d = 3 are still running when it stops
     rng = np.random.default_rng(7)
     w = _whitened_rows(rng, 5)
     assert_matches_reference(dense_moment(w.data, 4), empirical_moment(w, 4))
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 1)
     monkeypatch.setattr(tensors, "POWER_MAX_ITER", 40)
     w = _whitened_rows(rng, 3)
     assert_matches_reference(dense_moment(w.data, 3), empirical_moment(w, 3))
@@ -413,7 +429,9 @@ def test_sample_from_csv_reads_files_and_quoted_fields(tmp_path):
     "\ufeffx1,x2\n1.5,-2\n3,4e-3\n".encode("utf-8"),
     b'"x\n1",x2\n1.5,-2\n3,4e-3\n',
     b'x1,x2\n\n"1.5","-2"\n\n"3",4e-3\n\n',
-], ids=["crlf", "utf8-bom", "two-line-header", "quoted-fields-blank-lines"])
+    '\ufeff"x\r\n1",x2\r\n1.5,-2\r\n3,4e-3\r\n'.encode("utf-8"),
+], ids=["crlf", "utf8-bom", "two-line-header", "quoted-fields-blank-lines",
+        "utf8-bom-two-line-header"])
 def test_sample_from_csv_parses_line_ends_bom_and_quoting(raw, tmp_path):
     path = tmp_path / "x.csv"
     path.write_bytes(raw)
@@ -502,7 +520,7 @@ def test_hermite_integral_bounded_by_sqrt_factorial():
 
 
 # ---------------------------------------------------------------------------
-# memory: p(x) and start blocks stay within the cell budget
+# memory: p(x) blocks stay within the cell budget, power starts are few
 # ---------------------------------------------------------------------------
 
 BUDGET_CELLS = 2 ** 14
@@ -527,10 +545,9 @@ def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch,
 
 def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
     # 1000 cells: 3 Efron replicates of n = 300 (25 in 9 chunks), 35 moment
-    # rows of D = 28 cells (200 in 6 chunks), 20 power starts of d² = 49
-    # U(v) cells (57 in 3 blocks) and 3 half-space directions of 150 + 150
-    # projected rows (12 in 4 blocks); each kernel must split under this one
-    # value
+    # rows of D = 28 cells (200 in 6 chunks) and 3 half-space directions of
+    # 150 + 150 projected rows (12 in 4 blocks); each kernel must split under
+    # this one value
     monkeypatch.setattr(tensors, "CHUNK_CELLS", 1000)
     chunks = {}
 
@@ -543,8 +560,7 @@ def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
         monkeypatch.setattr(module, name, spy)
 
     for module, name in ((bootstrap, "_resample_counts"),
-                         (tensors, "_pair_products"),
-                         (tensors, "_power_block")):
+                         (tensors, "_pair_products")):
         count(module, name)
     rng = np.random.default_rng(61)
     c = rng.standard_normal((300, 3))
@@ -559,21 +575,23 @@ def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
     sa = Sample(rng.standard_normal((150, 2)))
     sb = Sample(rng.standard_normal((150, 2)) + 0.5)
     assert distances.delta_H_hat(sa, sb, n_dirs=10, n_boot=0).value > 0.2
-    assert chunks == {"_resample_counts": 9, "_pair_products": 6,
-                      "_power_block": 3}
+    assert chunks == {"_resample_counts": 9, "_pair_products": 6}
     assert projection_blocks == [3, 3, 3, 3]
 
 
-def test_operator_norm_memory_stays_within_the_cell_budget(monkeypatch,
-                                                          run_traced):
-    # order 4: 64 starts of d² = 256 U(v) cells per budget at d = 16 (264
-    # starts in 5 blocks), 7 of 2304 at d = 48 (56 starts in 8 blocks); the
-    # m(v) rows and G·m(v) of a block take about one more budget
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
+def test_operator_norm_memory_is_the_form_or_the_starts(monkeypatch,
+                                                       run_traced):
+    # order 4: the shift squares the D×D form into a temporary that is freed
+    # before the starts exist; each start then holds its d² cells of U(v)
+    # and at most four D-cell rows at once (m(v), the two fancy-index
+    # factors of m(v) or G·m(v), and the G·m(v)/w that fills U(v)).  The
+    # 264 starts at d = 16 outweigh the form; at d = 48 and 64 the form's
+    # temporary does
     monkeypatch.setattr(tensors, "POWER_MAX_ITER", 3)
-    for d in (16, 48):
-        sym = d * (d + 1) // 2
+    for d in (16, 48, 64):
+        sym, starts = d * (d + 1) // 2, len(tensors._power_starts(d))
         rows = np.random.default_rng(52).standard_normal((400, d))
         t = empirical_moment(Sample(rows), 4)
         _, peak = run_traced(lambda: operator_norm(t))
-        assert peak < 8 * (sym * sym + 2 * BUDGET_CELLS) + UFUNC_BUFFERS, d
+        working = max(sym * sym, starts * (d * d + 4 * sym))
+        assert peak < 8 * working + UFUNC_BUFFERS, d
