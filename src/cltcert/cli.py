@@ -431,7 +431,8 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
     p.add_argument("--centers", type=int, default=256,
                    help="random centers/directions in the search set")
     p.add_argument("--boot", type=int, default=100,
-                   help="bootstrap replicates for the stderr")
+                   help="bootstrap replicates for the stderr (0 for none, "
+                        "else at least 2)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_distance)
 

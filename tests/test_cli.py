@@ -472,7 +472,8 @@ def test_distance_requires_seed(gaussian_csvs):
     *(["distance", "--kind", kind, "--sample-a", "A", "--sample-b", "B",
        "--seed", "1", flag, value]
       for kind in ("ball", "halfspace")
-      for flag, value in (("--centers", "-3"), ("--boot", "-2"))),
+      for flag, value in (("--centers", "-3"), ("--boot", "-2"),
+                          ("--boot", "1"))),
 ], ids=lambda argv: "-".join(argv[2:3] + argv[-2:]))
 def test_invalid_sizes_exit_2(argv, gaussian_csvs, capsys, recwarn):
     paths = dict(zip("AB", gaussian_csvs))

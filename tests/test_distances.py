@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cltcert import tensors
+from cltcert import distances, tensors
 from cltcert.distances import (
     DistanceEstimate,
     _bootstrap_stderr,
     _projections,
     _radii,
+    _sort_keys,
     _sup_ks,
     anti_concentration_probe,
     delta_B_hat,
@@ -115,16 +116,46 @@ def _edge_pairs():
         (rng.standard_normal(500), rng.standard_normal(400) + 0.1),
         # signed zeros compare equal
         (np.array([-0.0, 0.0, 1.0, -0.0]), np.array([0.0, -0.0, -1.0])),
-        # infinities are ordered values
+        (np.array([-0.0, 1.5, -0.0]), np.array([0.0, -1.0, 0.0, 0.0])),
+        # the smallest subnormals, beside zeros and beside each other
+        (np.array([5e-324, -5e-324, 0.0, 1.0]), np.array([-5e-324, 0.0])),
+        # infinities are ordered values; the packed keys take them beside
+        # magnitudes of 2 or more, and the argsort path beside smaller ones
         (np.array([-inf, 0.0, inf, inf]), np.array([inf, -inf, 1.0])),
         (np.full(7, inf), np.full(4, -inf)),
+        (np.array([-inf, 2.0, 3.5, inf]), np.array([inf, -4.0, 2.0, 2.0])),
+        (np.array([-inf, 0.5, inf]), np.array([0.25, inf, -0.75, inf])),
+        # magnitudes spanning 2000 binades take the argsort path
+        (np.array([1e-300, -1e300, 3.0, 1e-300]), np.array([1e300, -1e-300])),
+        # and so do exact zeros beside |v| >= 2
+        (np.round(8 * rng.standard_normal(60)) / 4,
+         np.round(8 * rng.standard_normal(45)) / 4 + 0.25),
     ]
 
 
 def test_ks_equals_two_sort_reference_bit_for_bit():
-    for a, b in _edge_pairs():
+    pairs = _edge_pairs()
+    for a, b in pairs:
         assert ks_two_sample_1d(a, b) == _ks_reference(a, b)
         assert ks_two_sample_1d(b, a) == _ks_reference(b, a)
+    # the pairs reach both the packed keys and the argsort path
+    assert {_sort_keys(a, b) is None for a, b in pairs} == {False, True}
+
+
+def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(3000):
+        na, nb = rng.integers(1, 40, size=2)
+        scale = 10.0 ** rng.uniform(-5, 5)
+        a = scale * rng.standard_normal(na)
+        b = scale * (rng.standard_normal(nb) + rng.normal(0.0, 0.5))
+        kind = rng.integers(3)
+        if kind == 1:  # ties within and across samples
+            a, b = np.round(a / scale), np.round(b / scale)
+        elif kind == 2:  # rounding at the scale, near-ties that differ
+            a, b = np.round(a, 2), np.round(b, 2)
+        assert ks_two_sample_1d(a, b) == ks_two_sample_1d(b, a) == (
+            _ks_reference(a, b))
 
 
 @pytest.mark.parametrize("n_boot", [0, 1, 2, 37])
@@ -306,16 +337,26 @@ def test_halfspace_threshold_is_bit_identical_at_every_budget(d,
         assert threshold() == want
 
 
-def test_delta_H_memory_stays_within_the_chunk_budget(run_traced):
+@pytest.mark.parametrize("rounded", [True, False],
+                         ids=["quarters", "continuous"])
+def test_delta_H_memory_stays_within_the_chunk_budget(rounded, run_traced):
     # 259 directions of two 32 768-row samples: projecting onto all of them
     # at once would take 16 budgets.  They go in 17 blocks of at most 16
     # directions, one budget; the KS statistic, its bootstrap and the best
     # pair take a few copies of the pooled rows.  A second block kept alive
-    # would break the bound.
+    # would break the bound.  Quarter-rounded rows hold zeros beside
+    # |v| >= 2, so their KS statistics take the argsort path; continuous
+    # rows take the packed keys.
     n, d = 32_768, 3
     rng = np.random.default_rng(71)
-    sa = _sample(np.round(4 * rng.standard_normal((n, d))) / 4)
-    sb = _sample(np.round(4 * rng.standard_normal((n, d))) / 4 + 0.25)
+
+    def rows():
+        x = rng.standard_normal((n, d))
+        return np.round(4 * x) / 4 if rounded else x
+
+    sa = _sample(rows())
+    sb = _sample(rows() + 0.25)
+    assert (_sort_keys(sa.data[:, 0], sb.data[:, 0]) is None) == rounded
     est, peak = run_traced(
         lambda: delta_H_hat(sa, sb, n_dirs=256, seed=3, n_boot=2))
     assert est.value > 0.0 and est.stderr > 0.0
@@ -438,6 +479,31 @@ def test_delta_H_same_law_monotone_and_errors():
     assert big.value < 0.08
     with pytest.raises(ValueError):
         delta_H_hat(a, sample_gaussian(np.eye(2), 100, seed=16))
+    # one replicate has no spread: the stderr would read 0.0
+    for est in (delta_B_hat, delta_H_hat):
+        with pytest.raises(ValueError, match="n_boot must be 0 or >= 2"):
+            est(a, b, 8, seed=9, n_boot=1)
+
+
+def test_searches_call_the_ks_kernel_once_per_candidate(monkeypatch):
+    # the benchmark's tracer counts the calls to ks_two_sample_1d, by its
+    # global name, and the rows they read
+    rows = []
+    ks = distances.ks_two_sample_1d
+
+    def spy(a, b):
+        rows.append(a.size + b.size)
+        return ks(a, b)
+
+    monkeypatch.setattr(distances, "ks_two_sample_1d", spy)
+    d = 3
+    a = sample_gaussian(np.eye(d), 300, seed=14)
+    b = sample_gaussian(np.eye(d), 200, seed=15)
+    delta_B_hat(a, b, n_centers=5, seed=1, n_boot=2)
+    assert rows == [500] * (1 + 5 + 2 * d)
+    rows.clear()
+    delta_H_hat(a, b, n_dirs=7, seed=1, n_boot=2)
+    assert rows == [500] * (7 + d)
 
 
 def test_rotation_invariance_up_to_search_noise():
