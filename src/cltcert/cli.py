@@ -48,7 +48,7 @@ from .engine import (
     summarize_sample,
     verify_constants_constraint,
 )
-from .samplers import FAMILIES, DistributionSpec
+from .samplers import FAMILIES, DistributionSpec, sample_gaussian, substream
 from .tensors import Sample
 
 EXIT_OK = 0
@@ -333,18 +333,20 @@ def _experiment_normal_sweep(args) -> list[str]:
         raise ValueError("--n-list entries and --blocks must be >= 1")
     rows = []
     spec = DistributionSpec(family=args.family, d=args.d)
+    cov, blocks = spec.covariance(), args.blocks
     for n in n_list:
-        x = spec.sample(n, seed=args.seed)
+        # the certificate's rows, the block sums and the Gaussian reference
+        # each draw from their own substream, keyed by n
+        rows_seed, sums_seed, reference_seed = (
+            int(substream(args.seed, f"normal-sweep:{role}", n).integers(
+                2 ** 63 - 1)) for role in ("rows", "sums", "reference"))
+        x = spec.sample(n, seed=rows_seed)
         # empirical law of the normalized sum via independent block sums
-        blocks = args.blocks
-        data = spec.sample(n * blocks, seed=args.seed)
+        data = spec.sample(n * blocks, seed=sums_seed)
         s_n = data.data.reshape(blocks, n, args.d).sum(axis=1) / np.sqrt(n)
-        cov = spec.covariance()
-        rng = np.random.default_rng(args.seed + 1)
-        z = rng.multivariate_normal(np.zeros(args.d), cov, size=blocks,
-                                    method="eigh")
-        est = _search("ball", Sample(s_n), Sample(z), args.centers,
-                      args.seed, args.boot)
+        z = sample_gaussian(cov, blocks, reference_seed)
+        est = _search("ball", Sample(s_n), z, args.centers, args.seed,
+                      args.boot)
         ms = summarize_sample(x, sigma=cov, with_op_norms=False)
         bound = bound_ball_normal(ms)
         rows.append(_sweep_row(args.d, n, args.family, est.value, est.stderr,

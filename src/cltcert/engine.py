@@ -30,6 +30,7 @@ from cltcert.tensors import (
     MomentTensor,
     Sample,
     SpdMatrix,
+    _golden_section,
     empirical_moment,
     frobenius_norm,
     operator_norm,
@@ -195,7 +196,9 @@ class MomentSummary:
     Only the fields a given bound needs have to be set; ``require`` lists
     missing ones by name.  Conventions: "w" prefixes are moments of the
     whitened vector Σ^{-1/2}X; "c" prefixes are central (X − 𝔼X) moments;
-    "raw4_op" is the operator norm of the unwhitened fourth moment.
+    "raw4_op" is the operator norm of the unwhitened fourth moment.  The
+    builders set every tensor "_op" field to the certified upper end of
+    :func:`~cltcert.tensors.operator_norm`.
     """
 
     d: int
@@ -211,26 +214,26 @@ class MomentSummary:
     cov_gap_op: Optional[float] = None          # ‖Σ − Σ_T‖
     # whitened X moments
     x_w3_frob: Optional[float] = None
-    x_w3_op: Optional[float] = None
+    x_w3_op: Optional[float] = None             # ≥ ‖𝔼(Σ^{-1/2}X)^⊗3‖
     x_w3_max: Optional[float] = None
     x_w3_nonzero: Optional[int] = None
     x_w4_mean: Optional[float] = None           # 𝔼‖Σ^{-1/2}X‖⁴
-    x_w4_op: Optional[float] = None             # ‖𝔼(Σ^{-1/2}X)^⊗4‖
+    x_w4_op: Optional[float] = None             # ≥ ‖𝔼(Σ^{-1/2}X)^⊗4‖
     t_w4_mean: Optional[float] = None
     t_w4_op: Optional[float] = None
     # whitened third-moment difference (same-covariance comparisons)
     dw3_frob: Optional[float] = None
-    dw3_op: Optional[float] = None
+    dw3_op: Optional[float] = None              # ≥ its norm, as x_w3_op
     dw3_max: Optional[float] = None
     dw3_nonzero: Optional[int] = None
     # central/raw unwhitened moments (different-covariance and bootstrap)
     x_c3_frob: Optional[float] = None           # ‖𝔼(X−μ)^⊗3‖_F
     x_c4_mean: Optional[float] = None           # 𝔼‖X−μ‖⁴
     t_c4_mean: Optional[float] = None
-    x_raw4_op: Optional[float] = None           # ‖𝔼(X^⊗4)‖
+    x_raw4_op: Optional[float] = None           # ≥ ‖𝔼(X^⊗4)‖
     t_raw4_op: Optional[float] = None
     d3_frob: Optional[float] = None             # ‖𝔼X^⊗3 − 𝔼T^⊗3‖_F
-    d3_op: Optional[float] = None
+    d3_op: Optional[float] = None               # ≥ its norm
     d3_max: Optional[float] = None
     d3_nonzero: Optional[int] = None
     lambda0_sq: Optional[float] = None
@@ -723,32 +726,12 @@ THEOREM_TABLE = {
 # β optimization
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # optimize_beta's search interval, golden-section tolerance and number of
 # independently searched sub-intervals
 BETA_LOWER = 0.05
 BETA_UPPER = 0.995
 BETA_TOL = 1e-4
 BETA_BRACKETS = 5
-
-
-def _golden_section(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def optimize_beta(evaluator: Callable[[float], BoundBreakdown]):

@@ -18,9 +18,12 @@ x_i·x_j (i ≤ j) and scales the sum once; its chunks stay within
 ``CHUNK_CELLS`` cells, so beyond the form its memory does not grow with n.
 The Efron kernel's count block and the half-space projection blocks share
 the budget: 2 MB of 8-byte cells, one core's L2 cache on the benchmark host,
-so a block is still in cache when its GEMM reads it.  ``operator_norm``
-runs every power iteration start at once, one GEMM with C or G per step;
-its few starts need d² + 2D cells each, a small share of the form.
+so a block is still in cache when its GEMM reads it; ``frobenius_norm``
+sums its squares one budget of cells at a time.  ``operator_norm`` returns
+a certified upper end, the least λ_max(H + s·L₀) that a search over the
+scalar s meets, plus a rounding allowance (H = ±G or CᵀC, L₀ = I_D −
+m(I)m(I)ᵀ): about 60 dense eigensolves of a D×D matrix, and at most three
+such matrices beyond the form.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -267,19 +271,11 @@ class Sample:
 # --------------------------------------------------------------------------
 
 # cells of one block that a chunked kernel builds at once: the p(x) blocks
-# (D × rows) of empirical_moment, the count block (replicates × n) of
-# bootstrap._resample_means and the projection blocks (directions × pooled
-# rows) of distances.delta_H_hat; 2 MB of 8-byte cells, one core's L2 cache
-# on the benchmark host
+# (D × rows) of empirical_moment, the scaled chunks of frobenius_norm, the
+# count block (replicates × n) of bootstrap._resample_means and the
+# projection blocks (directions × pooled rows) of distances.delta_H_hat;
+# 2 MB of 8-byte cells, one core's L2 cache on the benchmark host
 CHUNK_CELLS = 2 ** 18
-
-# operator_norm's power iteration: random starts beyond the canonical ones,
-# iteration cap per start, relative fixed-point tolerance, and the seed of
-# the random starts
-POWER_RESTARTS = 8
-POWER_MAX_ITER = 200
-POWER_TOL = 1e-12
-POWER_SEED = 0
 
 
 def _sym2_basis(d: int):
@@ -333,97 +329,133 @@ def empirical_moment(sample: Sample, order: int) -> MomentTensor:
     return MomentTensor(order, d, acc)
 
 
+def _scale_exponent(data: np.ndarray) -> int:
+    """The e with 2^(e−1) ≤ max|data| < 2^e (0 for a zero array), read off
+    ``data.max()`` and ``data.min()``: scaling by 2^−e is exact and brings
+    every entry below 1 in magnitude."""
+    return math.frexp(max(data.max(), -data.min()))[1]
+
+
 def frobenius_norm(tensor: MomentTensor) -> float:
-    return float(np.sqrt(np.sum(tensor.data ** 2)))
+    """‖A‖_F = ‖form‖_F, as a sum of squares over chunks of at most
+    ``CHUNK_CELLS`` cells of the flat form, each scaled by 2^−e (see
+    :func:`_scale_exponent`): no form-sized temporary is made and no square
+    overflows."""
+    flat = tensor.data.ravel(order="K")
+    e = _scale_exponent(flat)
+    buf = np.empty(min(flat.size, CHUNK_CELLS))
+    total = 0.0
+    for start in range(0, flat.size, CHUNK_CELLS):
+        chunk = flat[start:start + CHUNK_CELLS]
+        part = np.ldexp(chunk, -e, out=buf[:chunk.size])
+        total += float(part @ part)
+    return float(np.ldexp(math.sqrt(total), e))
 
 
 @dataclass(frozen=True)
 class OperatorNormResult:
-    """Lower estimate of the symmetric operator norm with diagnostics."""
+    """Certified upper end of the symmetric operator norm: ``value`` is at
+    least ‖A‖, ``iterations`` counts the eigenvalue solves behind it and
+    ``converged`` is True once the search has closed its interval."""
 
     value: float
     converged: bool
     iterations: int
 
 
-def _power_starts(d: int) -> np.ndarray:
-    """Unit start vectors as rows: the basis e_i, the pairs (e_i ± e_j)/√2
-    for d ≤ 16, then ``POWER_RESTARTS`` (at least one) random directions."""
-    rows = [np.eye(d)]
-    if d <= 16:
-        i, j = np.triu_indices(d, 1)
-        pairs = np.zeros((i.size, 2, d))
-        r = np.arange(i.size)
-        pairs[r, :, i] = 1.0
-        pairs[r, :, j] = (1.0, -1.0)
-        rows.append(pairs.reshape(-1, d) / np.sqrt(2.0))
-    g = np.random.default_rng(POWER_SEED).standard_normal(
-        (max(POWER_RESTARTS, 1), d))
-    rows.append(g / np.linalg.norm(g, axis=1, keepdims=True))
-    return np.concatenate(rows)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f: Callable[[float], float], lo: float, hi: float,
+                    tol: float) -> float:
+    """Golden-section search for the minimum of ``f`` on [lo, hi]: the
+    midpoint of the last bracket, once it is at most ``tol`` wide."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def operator_norm(tensor: MomentTensor) -> OperatorNormResult:
-    """Estimate ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩| for a symmetric tensor.
+    """Certified upper bound on ‖A‖ = sup_{‖v‖=1} |⟨A, v^{⊗k}⟩|.
 
-    Uses shifted symmetric higher-order power iteration on A from canonical
-    basis vectors, normalized e_i ± e_j pairs (small d) and
-    ``POWER_RESTARTS`` random unit starts, keeping the largest stationary
-    |f(v)| = |⟨A, v^{⊗k}⟩|.  All starts iterate together as the rows of one
-    matrix, contracted through the Sym² form: A(·, v, v) = C·m(v) at order
-    3, and A(·, v, v, v) = U(v)·v at order 4, where the symmetric d×d U(v)
-    is read off G·m(v).  A step is one GEMM with the form, and a start
-    leaves the matrix once it converges; beyond the form, a start holds the
-    d² + 2D cells of its U(v), m(v) and G·m(v).  The result is always a
-    lower bound on the true norm; ``converged`` reports whether every start
-    reached the fixed-point tolerance, and ``iterations`` sums the steps of
-    all starts.  An order-4 input must be a fourth-moment tensor, whose form
-    𝔼⟨X, v⟩⁴ is never negative: for any other order-4 tensor the result can
-    miss a negative extreme of f.
+    Take H = ±G at order 4, and H = CᵀC at order 3, whose sup over unit v
+    of m(v)ᵀ H m(v) is ‖A₃‖² (Banach 1938).  L₀ = I_D − m(I)m(I)ᵀ vanishes
+    on every m(v), so that sup is at most λ_max(H + s·L₀) for every s: the
+    first level of the Sym² sum-of-squares hierarchy (Parrilo 2000; Nie &
+    Wang 2014).  λ_max(H + s·L₀) is convex in s; a golden-section search
+    keeps the least value it meets, plus a rounding allowance.  A side of
+    ±G whose value at s = 0 is no larger than the other side's bound is not
+    searched.  Beyond the form, at most three D×D matrices are held: H,
+    H + s·L₀ and the eigensolver's copy.
     """
     k, d, form = tensor.order, tensor.dim, tensor.data
-    # monotonicity shift: |f''| on the sphere is at most k(k-1)·‖A‖_F, so the
-    # update w = A(·, v, …, v) + shift·v is convex and never vanishes
-    # (⟨v, w⟩ = f(v) + shift > 0); taken first, so its form-sized temporary
-    # is freed before the starts' blocks exist
-    shift = k * frobenius_norm(tensor) + 1e-30
-    v = _power_starts(d)
-    iu, ju, weight = _sym2_basis(d)
-    u_block = np.empty((v.shape[0], d, d)) if k == 4 else None
+    if d == 1:  # L₀ = 0: the form is the tensor
+        return OperatorNormResult(abs(float(form[0, 0])), True, 0)
+    # the norm is homogeneous: scaled by 2^−e, exactly, no entry exceeds 1,
+    # so neither CᵀC nor the allowance can overflow
+    e = _scale_exponent(form)
+    h = np.ldexp(form, -e)
+    eps, gemm = np.finfo(float).eps, 0.0
+    if k == 3:
+        # the computed CᵀC is within γ_d·|C|ᵀ|C| of the exact one, entry by
+        # entry (Higham 2002, ch. 3), and ‖|C|ᵀ|C|‖_F ≤ ‖C‖_F²
+        gemm = (d + 1) * eps * float(np.vdot(h, h))
+        h = h.T @ h
+    sym = h.shape[0]
+    # the coordinates (i, i), where m(I) is 1
+    diag = np.flatnonzero(np.equal(*np.triu_indices(d)))
+    block = np.ix_(diag, diag)
+    # Allowance.  LAPACK's symmetric eigensolvers are backward stable: the
+    # computed λ_max is exact for a matrix within p(D)·ε·‖M‖₂ of M, with p
+    # growing modestly (LAPACK Users' Guide, error bounds for the symmetric
+    # eigenproblem), and Weyl's inequality makes that a forward bound.
+    # Forming M = H + s·L₀ rounds an entry at most twice, by at most
+    # ε·(|H_pq| + |s|).  ‖M‖₂ ≤ ‖H‖_F + |s|·‖L₀‖_F, and 4·D·ε times that
+    # covers both, with room for the roundings of the sums and the root.
+    slack = 4 * sym * eps
+    h_frob, l0_frob = np.linalg.norm(h), math.sqrt(sym + d * d - 2 * d)
+    work = np.empty_like(h)
+    work_diag = work.reshape(-1)[::sym + 1]
+    solves = 0
 
-    def contract(rows):
-        # A(·, v, …, v) for every row v, through m(v) and one GEMM; the
-        # starts are few, so m(v) is one fancy product
-        m = rows[:, iu] * rows[:, ju] * weight
-        if k == 3:
-            return m @ form.T
-        # G·m(v) is m(U(v)) for the symmetric U(v) = A(·, ·, v, v)
-        u = u_block[:rows.shape[0]]
-        u[:, iu, ju] = u[:, ju, iu] = m @ form / weight
-        return np.matmul(u, rows[:, :, None])[:, :, 0]
+    def bound(s: float) -> float:
+        nonlocal solves, least
+        np.copyto(work, h)
+        work_diag[:] += s
+        work[block] -= s
+        solves += 1
+        value = float(np.linalg.eigvalsh(work)[-1] + gemm
+                      + slack * (h_frob + abs(s) * l0_frob))
+        least = min(least, value)
+        return value
 
-    best, iterations = 0.0, 0
-    g = contract(v)
-    f = np.einsum("ij,ij->i", g, v)
-    for it in range(POWER_MAX_ITER):
-        w = g + shift * v
-        v_new = w / np.linalg.norm(w, axis=1)[:, None]
-        g = contract(v_new)
-        f_new = np.einsum("ij,ij->i", g, v_new)
-        step = np.linalg.norm(v_new - v, axis=1)
-        done = (step < 1e-8) & (
-            np.abs(f_new - f) <= POWER_TOL * np.maximum(1.0, np.abs(f_new)))
-        v, f = v_new, f_new
-        if done.any():
-            best = float(np.abs(f[done]).max(initial=best))
-            iterations += (it + 1) * int(done.sum())
-            keep = ~done
-            v, g, f = v[keep], g[keep], f[keep]
-            if not f.size:
-                break
-    best = float(np.abs(f).max(initial=best))
-    iterations += POWER_MAX_ITER * f.size
-    return OperatorNormResult(best, not f.size, iterations)
+    value = 0.0
+    for side in range(k - 2):  # order 3: CᵀC; order 4: G, then −G
+        if side:
+            np.negative(h, out=h)
+        least = math.inf
+        if bound(0.0) > value:
+            # outside [lo, hi], λ_max(H + s·L₀) exceeds its value at 0: for
+            # s > 0 at a unit vector at a coordinate (i, j), i < j, where L₀
+            # is 1, and for s < 0 at m(I)/√d, where it is 1 − d
+            hi = least - np.delete(np.diag(h), diag).max()
+            lo = (h[block].sum() / d - least) / (d - 1)
+            # every s tried gives a valid bound, and bound() keeps the least
+            _golden_section(bound, lo, hi, 1e-12 * (hi - lo))
+            value = max(value, least)
+    norm = math.sqrt(value) if k == 3 else value
+    return OperatorNormResult(float(np.ldexp(norm, e)), True, solves)
 
 
 def whiten(sample: Sample, sigma: SpdMatrix) -> Sample:

@@ -14,6 +14,7 @@ import pytest
 from cltcert import cli, engine
 from cltcert.bootstrap import bootstrap_ball_quantile, chi2_quantile
 from cltcert.engine import bound_ball_normal, summarize_gaussian
+from cltcert.samplers import DistributionSpec
 from cltcert.tensors import Sample, SpdMatrix
 
 
@@ -645,6 +646,37 @@ def test_experiment_normal_sweep_columns(capsys):
         cells = line.split(",")
         assert cells[1] == str(n) and cells[2] == "symmetric_L"
         assert float(cells[3]) < float(cells[5])  # estimate below certificate
+
+
+def test_experiment_normal_sweep_certifies_on_rows_of_its_own(monkeypatch,
+                                                              capsys):
+    # the certificate's rows are neither the first block of the block sums
+    # nor a prefix of another --n-list entry's rows
+    drawn, summarized = {}, []
+    sample, summarize = DistributionSpec.sample, cli.summarize_sample
+
+    def sample_spy(spec, n, seed):
+        drawn[n] = sample(spec, n, seed)
+        return drawn[n]
+
+    def summarize_spy(x, **kwargs):
+        summarized.append(x.data)
+        return summarize(x, **kwargs)
+
+    monkeypatch.setattr(DistributionSpec, "sample", sample_spy)
+    monkeypatch.setattr(cli, "summarize_sample", summarize_spy)
+    for family in ("gaussian", "laplace_product", "exponential_centered"):
+        drawn.clear()
+        summarized.clear()
+        code, _, _ = run_cli(
+            ["experiment", "--name", "normal-sweep", "--seed", "3", "--d",
+             "2", "--n-list", "50,100", "--blocks", "4", "--centers", "4",
+             "--boot", "0", "--family", family], capsys)
+        assert code == 0
+        small, large = summarized
+        assert not np.array_equal(small, drawn[200].data[:50]), family
+        assert not np.array_equal(large, drawn[400].data[:100]), family
+        assert not np.array_equal(small, large[:50]), family
 
 
 def test_experiment_unknown_family_exits_2():

@@ -602,8 +602,7 @@ def test_frobenius_envelope_is_never_above_the_others():
     # ‖A‖_F ≤ d·‖A‖ (slice A into d matrices; Banach 1938) and
     # ‖A‖_F ≤ max|a|·√nonzero (Cauchy–Schwarz): the sample builders set only
     # the Frobenius envelope, which is why these two may be left out.  The
-    # first also checks that operator_norm's lower estimate is within a
-    # factor d of the norm.
+    # first holds a fortiori for operator_norm's certified upper end.
     rng = np.random.default_rng(50)
     dense = [symmetrize(rng.standard_normal((d, d, d)))
              for d in (2, 3, 5, 8) for _ in range(5)]

@@ -217,3 +217,35 @@ def test_every_private_function_and_constant_is_read():
               for name, node in _private_functions_and_constants(tree)
               if reads[name] <= _reads(node).count(name)]
     assert unread == []
+
+
+def _random_constructions(tree) -> list:
+    """The lines of ``tree`` that call into ``np.random`` (or
+    ``numpy.random``) or import from it; an annotation such as
+    ``np.random.Generator`` calls nothing."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("numpy.random"):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Attribute)
+              and node.func.value.attr == "random"
+              and isinstance(node.func.value.value, ast.Name)
+              and node.func.value.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_samplers_constructs_random_generators():
+    # one seed path: every generator comes from a samplers function or a
+    # named substream, so a seeded run's streams are all keyed off its seed
+    found = {path.name: _random_constructions(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "samplers.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    put_back = ("def f(rng: np.random.Generator):\n"
+                "    return np.random.default_rng(0)\n")
+    assert _random_constructions(ast.parse(put_back)) == [2]

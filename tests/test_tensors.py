@@ -84,16 +84,26 @@ def reference_operator_norm(data, n_restarts=8, max_iter=200, tol=1e-12,
     return best, all_converged, total_iters
 
 
-def assert_matches_reference(dense, tensor=None):
-    """operator_norm of ``tensor`` (by default the form of ``dense``) has the
-    value, convergence and iteration count of the dense per-start loop."""
-    res = operator_norm(sym2_form(dense) if tensor is None else tensor)
-    value, converged, iterations = reference_operator_norm(
-        dense, tensors.POWER_RESTARTS, tensors.POWER_MAX_ITER,
-        tensors.POWER_TOL, tensors.POWER_SEED)
-    assert res.iterations == iterations
-    assert res.converged == converged
-    assert res.value == pytest.approx(value, rel=1e-12)
+def _values_at_random_units(tensor):
+    """|⟨A, v^{⊗k}⟩| at 10⁴ seeded random unit v, read off the form:
+    vᵀ C m(v) at order 3 and m(v)ᵀ G m(v) at order 4."""
+    d = tensor.dim
+    v = np.random.default_rng(0).standard_normal((10 ** 4, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    i, j, w = tensors._sym2_basis(d)
+    m = v[:, i] * v[:, j] * w
+    left = v if tensor.order == 3 else m
+    return np.abs(np.einsum("ap,ap->a", m @ tensor.data.T, left))
+
+
+def assert_brackets_reference(dense, tensor=None):
+    """operator_norm of ``tensor`` (by default the form of ``dense``) is at
+    least the dense per-start power iteration's lower estimate and |f(v)|
+    at 10⁴ random unit v."""
+    tensor = sym2_form(dense) if tensor is None else tensor
+    res = operator_norm(tensor)
+    assert reference_operator_norm(dense)[0] <= res.value
+    assert _values_at_random_units(tensor).max() <= res.value
     return res
 
 
@@ -119,8 +129,7 @@ def test_moment_tensor_shape_validation():
 
 
 def test_moment_tensor_refuses_non_finite_forms():
-    # a NaN or infinite form has no operator norm to estimate, and the
-    # power iteration's lower estimate would read 0 for it
+    # a NaN or infinite form has no operator norm to bound
     for bad in (np.nan, np.inf, -np.inf):
         for k, shape in ((3, (2, 3)), (4, (3, 3))):
             data = np.zeros(shape)
@@ -220,28 +229,28 @@ def _whitened_rows(rng, d):
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 17])
-def test_operator_norm_matches_per_start_loop(d, k, monkeypatch):
-    # the form built by empirical_moment against the dense per-start loop;
-    # d = 17 has no e_i ± e_j starts; random symmetric tensors converge on
-    # some starts and not on others
+def test_operator_norm_matches_per_start_loop(d, k):
+    # the form built by empirical_moment, and random symmetric tensors,
+    # whose order-4 forms take both signs, against the dense per-start loop
     rng = np.random.default_rng(100 * d + k)
     w = _whitened_rows(rng, d)
-    assert_matches_reference(dense_moment(w.data, k), empirical_moment(w, k))
+    assert_brackets_reference(dense_moment(w.data, k), empirical_moment(w, k))
     if d < 17:
-        data = symmetrize(rng.standard_normal((d,) * k))
-        monkeypatch.setattr(tensors, "POWER_RESTARTS", 3)
-        monkeypatch.setattr(tensors, "POWER_SEED", 5)
-        assert_matches_reference(data)
+        assert_brackets_reference(symmetrize(rng.standard_normal((d,) * k)))
 
 
-# operator_norm(...).value of the whitened moments of 2000 centered
-# exponential rows (seed 400 + d), per (d, order); d = 17 is the first
-# dimension without e_i ± e_j starts
+# (power-iteration lower end, certified operator_norm(...).value) of the
+# whitened moments of 2000 centered exponential rows (seed 400 + d), per
+# (d, order); the lower ends are the multi-start power iteration's values
 GOLDEN_NORMS = {
-    (3, 3): 2.0913042311919208, (3, 4): 9.65322894096783,
-    (5, 3): 2.192804073581991, (5, 4): 9.920227453388069,
-    (8, 3): 2.2375649100267396, (8, 4): 10.439142175500754,
-    (17, 3): 2.270254121934858, (17, 4): 11.616016124387231,
+    (3, 3): (2.0913042311919208, 2.0958447588550553),
+    (3, 4): (9.65322894096783, 9.676030550713456),
+    (5, 3): (2.192804073581991, 2.2088168319140684),
+    (5, 4): (9.920227453388069, 9.980161491978912),
+    (8, 3): (2.2375649100267396, 2.3129901074419728),
+    (8, 4): (10.439142175500754, 10.788684845372757),
+    (17, 3): (2.270254121934858, 2.4019643119242127),
+    (17, 4): (11.616016124387231, 12.143644395693427),
 }
 
 
@@ -251,28 +260,53 @@ def test_operator_norm_matches_golden_values(d):
     xc = Sample(x - x.mean(axis=0))
     w = whiten(xc, SpdMatrix(xc.covariance()))
     for k in (3, 4):
+        lower, certified = GOLDEN_NORMS[d, k]
         value = operator_norm(empirical_moment(w, k)).value
-        assert value == pytest.approx(GOLDEN_NORMS[d, k], rel=1e-12)
-
-
-def test_operator_norm_start_blocks_match_per_start_loop(monkeypatch):
-    # at d = 5 most of the 33 starts leave the matrix of starts as they
-    # converge and the rest reach the cap; at a 40-step cap all 17 starts at
-    # d = 3 are still running when it stops
-    rng = np.random.default_rng(7)
-    w = _whitened_rows(rng, 5)
-    assert_matches_reference(dense_moment(w.data, 4), empirical_moment(w, 4))
-    monkeypatch.setattr(tensors, "POWER_MAX_ITER", 40)
-    w = _whitened_rows(rng, 3)
-    assert_matches_reference(dense_moment(w.data, 3), empirical_moment(w, 3))
+        assert value == pytest.approx(certified, rel=1e-12)
+        assert lower <= value
 
 
 def test_operator_norm_zero_tensor_converges_in_one_step():
-    # every start is a fixed point of w = A·v^⊗(k−1) + shift·v when A = 0
+    # one eigensolve a side: the bound at s = 0 is 0, which no search can
+    # lower
     for k in (3, 4):
-        res = assert_matches_reference(np.zeros((3,) * k))
-        assert (res.value, res.converged) == (0.0, True)
-        assert res.iterations == 3 + 6 + 8
+        res = assert_brackets_reference(np.zeros((3,) * k))
+        assert (res.value, res.converged, res.iterations) == (0.0, True,
+                                                               k - 2)
+
+
+def test_operator_norm_is_exact_at_d1():
+    # L₀ = 0 at d = 1, and the form is the tensor's one entry
+    for k in (3, 4):
+        res = operator_norm(MomentTensor(k, 1, np.array([[-2.7]])))
+        assert (res.value, res.converged) == (2.7, True)
+    rows = Sample(np.random.default_rng(25).exponential(size=(500, 1)))
+    for k in (3, 4):
+        t = empirical_moment(rows, k)
+        assert operator_norm(t).value == t.data[0, 0]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_every_multiplier_bounds_the_norm_and_none_beats_the_search(k):
+    # m(v)ᵀ L₀ m(v) = 0, so λ_max(H + s·L₀) bounds sup m(v)ᵀ H m(v) at every
+    # s on a grid, and none of them is below the searched minimum by more
+    # than the rounding allowance and the search tolerance
+    d = 5
+    x = np.random.default_rng(26).exponential(size=(3000, d)) - 1.0
+    xc = Sample(x - x.mean(axis=0))
+    t = empirical_moment(whiten(xc, SpdMatrix(xc.covariance())), k)
+    h = t.data.T @ t.data if k == 3 else t.data
+    i, j, _ = tensors._sym2_basis(d)
+    m_eye = (i == j).astype(float)
+    l0 = np.eye(h.shape[0]) - np.outer(m_eye, m_eye)
+    grid = np.linspace(-3.0, 6.0, 451)
+    lam = np.array([np.linalg.eigvalsh(h + s * l0)[-1] for s in grid])
+    sup = _values_at_random_units(t).max() ** (2 if k == 3 else 1)
+    value = operator_norm(t).value ** (2 if k == 3 else 1)
+    assert lam.min() >= sup
+    assert lam.min() >= value * (1.0 - 1e-10)
+    # the grid holds the minimum: its ends are above the best grid point
+    assert lam.argmin() not in (0, grid.size - 1)
 
 
 def test_operator_norm_rank_one_order3():
@@ -335,7 +369,8 @@ def test_operator_norm_vs_grid_search_d2():
 
 
 def test_operator_norm_dominates_max_norm_scaled():
-    # ‖A‖ ≥ |a_{i...i}| at canonical starts: certified lower-bound property
+    # ‖A‖ ≥ |a_{i...i}| (v = e_i), and the bound at s = 0 is at most
+    # λ_max(±G) ≤ ‖G‖_F = ‖A‖_F
     rng = np.random.default_rng(24)
     data = symmetrize(rng.standard_normal((3, 3, 3, 3)))
     t = sym2_form(data)
@@ -520,7 +555,7 @@ def test_hermite_integral_bounded_by_sqrt_factorial():
 
 
 # ---------------------------------------------------------------------------
-# memory: p(x) blocks stay within the cell budget, power starts are few
+# memory: p(x) blocks stay within the cell budget, norms hold few buffers
 # ---------------------------------------------------------------------------
 
 BUDGET_CELLS = 2 ** 14
@@ -571,7 +606,7 @@ def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
     moment = empirical_moment(Sample(x), 4)
     dense = naive_moment(x, 4)
     np.testing.assert_allclose(moment.data, sym2_form(dense).data, rtol=1e-12)
-    assert_matches_reference(dense, moment)
+    assert_brackets_reference(dense, moment)
     sa = Sample(rng.standard_normal((150, 2)))
     sb = Sample(rng.standard_normal((150, 2)) + 0.5)
     assert distances.delta_H_hat(sa, sb, n_dirs=10, n_boot=0).value > 0.2
@@ -579,19 +614,34 @@ def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
     assert projection_blocks == [3, 3, 3, 3]
 
 
-def test_operator_norm_memory_is_the_form_or_the_starts(monkeypatch,
-                                                       run_traced):
-    # order 4: the shift squares the D×D form into a temporary that is freed
-    # before the starts exist; each start then holds its d² cells of U(v)
-    # and at most four D-cell rows at once (m(v), the two fancy-index
-    # factors of m(v) or G·m(v), and the G·m(v)/w that fills U(v)).  The
-    # 264 starts at d = 16 outweigh the form; at d = 48 and 64 the form's
-    # temporary does
-    monkeypatch.setattr(tensors, "POWER_MAX_ITER", 3)
-    for d in (16, 48, 64):
-        sym, starts = d * (d + 1) // 2, len(tensors._power_starts(d))
+def test_operator_norm_memory_is_the_form_and_three_square_buffers(
+        run_traced):
+    # beyond the form, the search holds the scaled H (C at order 3 first,
+    # then CᵀC), H + s·L₀ and the eigensolver's copy of it: at most three
+    # D×D matrices.  d = 48 and 64 are left out: a call there is 62 dense
+    # eigensolves of a D = 1176 or 2080 matrix, 10.5 s at d = 48 on one
+    # core of a 2-vCPU Xeon
+    for d in (16, 32):
+        sym = d * (d + 1) // 2
         rows = np.random.default_rng(52).standard_normal((400, d))
-        t = empirical_moment(Sample(rows), 4)
-        _, peak = run_traced(lambda: operator_norm(t))
-        working = max(sym * sym, starts * (d * d + 4 * sym))
-        assert peak < 8 * working + UFUNC_BUFFERS, d
+        for k in (3, 4):
+            t = empirical_moment(Sample(rows), k)
+            _, peak = run_traced(lambda: operator_norm(t))
+            assert peak < 8 * 3 * sym * sym + UFUNC_BUFFERS, (d, k)
+
+
+def test_frobenius_norm_is_finite_and_makes_no_form_sized_temporary(
+        run_traced):
+    # entries above 1e154 overflow a plain sum of squares
+    t = MomentTensor(3, 2, np.full((2, 3), 1e200))
+    assert frobenius_norm(t) == pytest.approx(1e200 * math.sqrt(6.0),
+                                              rel=1e-15)
+    assert math.isfinite(operator_norm(t).value)
+    # an order-4 form of D² = 1176² cells (11 MB) is summed one scaled
+    # CHUNK_CELLS chunk (2 MB) at a time
+    data = np.random.default_rng(53).standard_normal((1176, 1176))
+    t = MomentTensor(4, 48, data)
+    value, peak = run_traced(lambda: frobenius_norm(t))
+    assert value == pytest.approx(math.sqrt(float(np.sum(data * data))),
+                                  rel=1e-12)
+    assert peak < 8 * tensors.CHUNK_CELLS + UFUNC_BUFFERS
