@@ -106,11 +106,13 @@ def _sort_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     Equal values get equal codes (−0.0 is added to 0.0 first, so the two
     zeros tie as under ``==``), and ±inf are ordered like other values.  The
     code is 2⁶² + m for v ≥ 0 and 2⁶² − 1 − m for v < 0, where m is |v|'s
-    bit pattern less the exponent field of the smallest |v|.  Returns None
-    when m does not fit in 62 bits: the magnitudes span 2¹⁰ binades or
-    more, as when an exact zero (or a subnormal) sits beside |v| ≥ 2.
-    numpy sorts 64-bit values about three times faster than it argsorts them,
-    which is why the label travels inside the key.
+    bit pattern less the exponent field of the smallest |v|.  Beside exact
+    zeros, which keep m = 0, the field is that of the smallest nonzero |v|
+    less one binade (none below 2⁻¹⁰²¹), so every other m stays above 0.
+    Returns None when m does not fit in 62 bits: the magnitudes span 2¹⁰
+    binades or more, as for values from 1e-300 to 1e300, or a subnormal
+    beside |v| ≥ 2.  numpy sorts 64-bit values about three times faster
+    than it argsorts them, which is why the label travels inside the key.
     """
     na = a.size
     keys = np.empty(na + b.size, dtype=np.uint64)
@@ -123,7 +125,14 @@ def _sort_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     hi = keys.max()
     if hi > 0x7FF << 52:  # above the bits of inf: a NaN
         raise ValueError("samples must not contain NaN")
-    shift = keys.min() & (0x7FF << 52)
+    lo = keys.min()
+    if lo == 0 < hi:  # exact zeros, as in rounded or integer data
+        keys -= 1  # wraps the zeros to the top
+        # a binade below the smallest nonzero |v|, so m > 0 off the zeros
+        lo = max(int(keys.min()) + 1 - (1 << 52), 0)
+        keys += 1
+        np.maximum(keys, lo & (0x7FF << 52), out=keys)  # the zeros: m = 0
+    shift = lo & (0x7FF << 52)
     if hi - shift >= 2 ** 62:
         return None
     keys -= shift

@@ -15,7 +15,8 @@ both forms are linear in the moment.  A form holds at most 2^28 cells
 
 ``empirical_moment`` adds one GEMM per chunk of rows of the products
 x_i·x_j (i ≤ j) and scales the sum once; its chunks stay within
-``CHUNK_CELLS`` cells, so beyond the form its memory does not grow with n.
+``CHUNK_CELLS`` cells, or D // 2 rows at order 4 where that is more (from
+d = 38), so beyond the form its memory does not grow with n.
 The Efron kernel's count block and the half-space projection blocks share
 the budget: 2 MB of 8-byte cells, one core's L2 cache on the benchmark host,
 so a block is still in cache when its GEMM reads it; ``frobenius_norm``
@@ -271,10 +272,11 @@ class Sample:
 # --------------------------------------------------------------------------
 
 # cells of one block that a chunked kernel builds at once: the p(x) blocks
-# (D × rows) of empirical_moment, the scaled chunks of frobenius_norm, the
-# count block (replicates × n) of bootstrap._resample_means and the
-# projection blocks (directions × pooled rows) of distances.delta_H_hat;
-# 2 MB of 8-byte cells, one core's L2 cache on the benchmark host
+# (D × rows, but at least D // 2 rows at order 4) of empirical_moment, the
+# scaled chunks of frobenius_norm, the count block (replicates × n) of
+# bootstrap._resample_means and the projection blocks (directions × pooled
+# rows) of distances.delta_H_hat; 2 MB of 8-byte cells, one core's L2 cache
+# on the benchmark host
 CHUNK_CELLS = 2 ** 18
 
 
@@ -299,17 +301,21 @@ def _pair_products(xt: np.ndarray, out: np.ndarray) -> np.ndarray:
 def empirical_moment(sample: Sample, order: int) -> MomentTensor:
     """Average outer power n^{-1} Σ_i x_i^{⊗k} in its Sym² form.
 
-    Per chunk of rows whose D × rows block of products p(x) stays within
-    ``CHUNK_CELLS`` cells, one GEMM adds Σ x_i p(x_i)ᵀ (order 3) or
-    Σ p(x_i) p(x_i)ᵀ (order 4).  The chunk is transposed first, so every
-    product is a contiguous row; the transposed chunk, the block and the
-    GEMM's product are reused across chunks, and the weights of m = w ∘ p
-    scale the sum once.  Only orders 3 and 4 are accepted: they are the
-    moments the bounds read.
+    Per chunk of rows, one GEMM adds Σ x_i p(x_i)ᵀ (order 3) or
+    Σ p(x_i) p(x_i)ᵀ (order 4).  A chunk's D × rows block of products p(x)
+    stays within ``CHUNK_CELLS`` cells, but holds at least half as many
+    rows as the product has: each chunk writes and adds the whole product,
+    and with fewer rows moving it costs more than the GEMM's work.  At
+    order 4 that floor is D // 2 rows, which outweighs the budget from
+    d = 38 at 2¹⁸ cells; the block then stays below half the D×D form.
+    The chunk is transposed first, so every product is a contiguous row;
+    the transposed chunk, the block and the GEMM's product are reused
+    across chunks, and the weights of m = w ∘ p scale the sum once.  Only
+    orders 3 and 4 are accepted: they are the moments the bounds read.
     """
     shape = _form_shape(order, sample.dim)
     x, n, d, sym = sample.data, sample.n, sample.dim, shape[1]
-    step = max(1, min(n, CHUNK_CELLS // sym))
+    step = max(1, min(n, max(CHUNK_CELLS // sym, shape[0] // 2)))
     xt_buf, block_buf = np.empty(d * step), np.empty(sym * step)
     acc = np.zeros(shape)
     prod = np.empty(shape)

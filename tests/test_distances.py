@@ -125,11 +125,17 @@ def _edge_pairs():
         (np.full(7, inf), np.full(4, -inf)),
         (np.array([-inf, 2.0, 3.5, inf]), np.array([inf, -4.0, 2.0, 2.0])),
         (np.array([-inf, 0.5, inf]), np.array([0.25, inf, -0.75, inf])),
-        # magnitudes spanning 2000 binades take the argsort path
+        # magnitudes spanning 2000 binades take the argsort path, and so
+        # does a subnormal beside |v| >= 2
         (np.array([1e-300, -1e300, 3.0, 1e-300]), np.array([1e300, -1e-300])),
-        # and so do exact zeros beside |v| >= 2
+        (np.array([0.0, 5e-324, -4.0]), np.array([2.0, -0.0, 5e-324])),
+        # exact zeros beside |v| >= 2 take the packed keys, shifted by the
+        # smallest nonzero |v| less one binade, with or without a shift
+        # left to take
         (np.round(8 * rng.standard_normal(60)) / 4,
          np.round(8 * rng.standard_normal(45)) / 4 + 0.25),
+        (np.array([0.0, 1.0, -0.0, 1.0, 4.0]), np.array([-1.0, 0.0, 1.0])),
+        (np.array([0.0, 3e-308, -1.5, 0.0]), np.array([-3e-308, 1.0, -0.0])),
     ]
 
 
@@ -139,7 +145,8 @@ def test_ks_equals_two_sort_reference_bit_for_bit():
         assert ks_two_sample_1d(a, b) == _ks_reference(a, b)
         assert ks_two_sample_1d(b, a) == _ks_reference(b, a)
     # the pairs reach both the packed keys and the argsort path
-    assert {_sort_keys(a, b) is None for a, b in pairs} == {False, True}
+    fallback = [_sort_keys(a, b) is None for a, b in pairs]
+    assert fallback[-5:] == [True, True, False, False, False]
 
 
 def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
@@ -149,11 +156,16 @@ def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
         scale = 10.0 ** rng.uniform(-5, 5)
         a = scale * rng.standard_normal(na)
         b = scale * (rng.standard_normal(nb) + rng.normal(0.0, 0.5))
-        kind = rng.integers(3)
+        kind = rng.integers(4)
         if kind == 1:  # ties within and across samples
             a, b = np.round(a / scale), np.round(b / scale)
         elif kind == 2:  # rounding at the scale, near-ties that differ
             a, b = np.round(a, 2), np.round(b, 2)
+        elif kind == 3:  # quarters of the scale, zeros among them
+            a = np.round(4 * a / scale) / 4 * scale
+            b = np.round(4 * b / scale) / 4 * scale
+            a[rng.integers(na)] = 0.0
+            assert _sort_keys(a, b) is not None
         assert ks_two_sample_1d(a, b) == ks_two_sample_1d(b, a) == (
             _ks_reference(a, b))
 
@@ -344,18 +356,21 @@ def test_delta_H_memory_stays_within_the_chunk_budget(rounded, run_traced):
     # at once would take 16 budgets.  They go in 17 blocks of at most 16
     # directions, one budget; the KS statistic, its bootstrap and the best
     # pair take a few copies of the pooled rows.  A second block kept alive
-    # would break the bound.  Quarter-rounded rows hold zeros beside
-    # |v| >= 2, so their KS statistics take the argsort path; continuous
-    # rows take the packed keys.
+    # would break the bound.  Quarter-rounded rows scaled by 1e-300 or by
+    # 1e300 span 2000 binades, so their KS statistics take the argsort
+    # path; continuous rows take the packed keys.
     n, d = 32_768, 3
     rng = np.random.default_rng(71)
 
-    def rows():
-        x = rng.standard_normal((n, d))
-        return np.round(4 * x) / 4 if rounded else x
+    def rows(shift):
+        x = rng.standard_normal((n, d)) + shift
+        if rounded:
+            scale = np.where(rng.random((n, 1)) < 0.5, 1e-300, 1e300)
+            x = np.round(4 * x) / 4 * scale
+        return x
 
-    sa = _sample(rows())
-    sb = _sample(rows() + 0.25)
+    sa = _sample(rows(0.0))
+    sb = _sample(rows(0.25))
     assert (_sort_keys(sa.data[:, 0], sb.data[:, 0]) is None) == rounded
     est, peak = run_traced(
         lambda: delta_H_hat(sa, sb, n_dirs=256, seed=3, n_boot=2))

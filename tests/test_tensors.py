@@ -160,21 +160,66 @@ def test_empirical_moment_matches_naive_loop():
 
 
 def test_empirical_moment_accumulates_many_chunks(monkeypatch):
-    # rows per chunk: 7 by a 105-cell budget, then 5 by a 75-cell budget
-    # (D = 15 cells of p(x) per row at both orders)
+    # D = 15 cells of p(x) per row at both orders.  A 135-cell budget holds
+    # 9 rows per chunk; a 75-cell one holds 5, which the order-4 floor of
+    # D // 2 = 7 rows outweighs.  At 9 and 7 rows, 40 rows end on a short
+    # chunk
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 5))
     s = Sample(x)
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 7 * 15)
+    chunks = []
+    pair_products = tensors._pair_products
+
+    def spy(xt, out):
+        chunks.append(xt.shape[1])
+        return pair_products(xt, out)
+
+    monkeypatch.setattr(tensors, "_pair_products", spy)
+    for budget, rows in ((9 * 15, {3: 9, 4: 9}), (75, {3: 5, 4: 7})):
+        monkeypatch.setattr(tensors, "CHUNK_CELLS", budget)
+        for k in (3, 4):
+            chunks.clear()
+            np.testing.assert_allclose(empirical_moment(s, k).data,
+                                       sym2_form(naive_moment(x, k)).data,
+                                       rtol=1e-12)
+            step = rows[k]
+            assert chunks == [min(step, 40 - i) for i in range(0, 40, step)]
+
+
+def _moment_in_budget_chunks(x, order):
+    """``empirical_moment`` with chunks of ``CHUNK_CELLS // D`` rows and no
+    row floor: the same products, GEMMs and scaling."""
+    n, d = x.shape
+    w = tensors._sym2_basis(d)[2]
+    sym = w.size
+    step = max(1, min(n, tensors.CHUNK_CELLS // sym))
+    acc = np.zeros((d if order == 3 else sym, sym))
+    for start in range(0, n, step):
+        xt = np.ascontiguousarray(x[start:start + step].T)
+        p = tensors._pair_products(xt, np.empty((sym, xt.shape[1])))
+        acc += (xt if order == 3 else p) @ p.T
+    acc /= n
+    acc *= w
+    if order == 4:
+        acc *= w[:, None]
+    return acc
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 17, 48, 64])
+def test_row_floor_keeps_the_moment(d):
+    # the order-4 floor of D // 2 rows a chunk fires from d = 38 at the
+    # default budget (1040 rows against 126 at d = 64), so below it every
+    # form keeps its bits; above it only the summation order moves
+    n = {48: 1000, 64: 1500}.get(d, 3000)
+    x = np.random.default_rng(90 + d).standard_normal((n, d))
     for k in (3, 4):
-        np.testing.assert_allclose(empirical_moment(s, k).data,
-                                   sym2_form(naive_moment(x, k)).data,
-                                   rtol=1e-12)
-    monkeypatch.setattr(tensors, "CHUNK_CELLS", 75)
-    for k in (3, 4):
-        np.testing.assert_allclose(empirical_moment(s, k).data,
-                                   sym2_form(naive_moment(x, k)).data,
-                                   rtol=1e-12)
+        got = empirical_moment(Sample(x), k).data
+        want = _moment_in_budget_chunks(x, k)
+        if k == 3 or d <= 17:
+            assert np.array_equal(got, want), (d, k)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert not np.array_equal(got, want)
 
 
 def test_empirical_moment_centering_and_chunking(monkeypatch):
@@ -568,14 +613,20 @@ UFUNC_BUFFERS = 2 ** 18
 def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch,
                                                             run_traced):
     # order 4: 455 rows of D = 36 cells per budget at d = 8 (n = 36
-    # budgets of p(x) rows), 13 rows of D = 1176 at d = 48 (72 budgets);
-    # beyond one p(x) block, only the form and one reused product are live
+    # budgets of p(x) rows); at d = 48 the budget holds 13 rows of
+    # D = 1176, and the floor of D // 2 = 588 rows makes a block of about
+    # 42 budgets.  Beyond one p(x) block of max(budget, D·(D // 2)) cells and
+    # its transposed chunk of d cells a row (226 KB at d = 48), only the
+    # form and one reused product are live
     monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
     for d, n in ((8, 16 * 1024), (48, 1000)):
         sym = d * (d + 1) // 2
+        rows = max(BUDGET_CELLS // sym, sym // 2)
+        block = max(BUDGET_CELLS, sym * (sym // 2))
         s = Sample(np.random.default_rng(51).standard_normal((n, d)))
         _, peak = run_traced(lambda: empirical_moment(s, 4))
-        assert peak < 8 * (2 * sym * sym + BUDGET_CELLS) + UFUNC_BUFFERS, d
+        assert peak < (8 * (2 * sym * sym + block + d * rows)
+                       + UFUNC_BUFFERS), d
 
 
 def test_one_budget_chunks_every_kernel(monkeypatch, projection_blocks):
