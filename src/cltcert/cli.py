@@ -2,7 +2,9 @@
 
 Machine-readable results (JSON or CSV) go to stdout; human-oriented notes go
 to stderr.  Exit codes: 0 success, 2 configuration error, 3 certificate
-infeasibility.  Stochastic commands require ``--seed``, and rerunning any
+infeasibility.  An invalid ``CLTCERT_THREADS`` is refused before any of
+them: ``import cltcert`` raises ``ValueError``, so the command ends with
+Python's traceback and exit code 1 before it reads an argument.  Stochastic commands require ``--seed``, and rerunning any
 command with the same configuration and seed produces byte-identical output
 (no timestamps are emitted).
 

@@ -122,20 +122,21 @@ def _sort_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     signed = keys.view(np.int64)
     sgn = signed >> 63
     keys &= 2 ** 63 - 1  # the magnitude bits, monotone in |v|
-    hi = keys.max()
+    hi = int(keys.max())
     if hi > 0x7FF << 52:  # above the bits of inf: a NaN
         raise ValueError("samples must not contain NaN")
-    lo = keys.min()
-    if lo == 0 < hi:  # exact zeros, as in rounded or integer data
-        keys -= 1  # wraps the zeros to the top
+    lo = int(keys.min())
+    zeros = lo == 0 < hi  # exact zeros, as in rounded or integer data
+    if zeros:
+        keys -= 1  # wraps the zeros to the top, −1 as int64
         # a binade below the smallest nonzero |v|, so m > 0 off the zeros
         lo = max(int(keys.min()) + 1 - (1 << 52), 0)
-        keys += 1
-        np.maximum(keys, lo & (0x7FF << 52), out=keys)  # the zeros: m = 0
     shift = lo & (0x7FF << 52)
     if hi - shift >= 2 ** 62:
         return None
-    keys -= shift
+    signed -= shift - zeros  # the 1 taken off above goes back
+    if zeros:
+        np.maximum(signed, 0, out=signed)  # the zeros, now below 0: m = 0
     signed ^= sgn  # m → −1 − m for the negative values
     signed += 2 ** 62
     keys <<= 1

@@ -615,17 +615,18 @@ def test_empirical_moment_memory_stays_within_the_cell_budget(monkeypatch,
     # order 4: 455 rows of D = 36 cells per budget at d = 8 (n = 36
     # budgets of p(x) rows); at d = 48 the budget holds 13 rows of
     # D = 1176, and the floor of D // 2 = 588 rows makes a block of about
-    # 42 budgets.  Beyond one p(x) block of max(budget, D·(D // 2)) cells and
-    # its transposed chunk of d cells a row (226 KB at d = 48), only the
-    # form and one reused product are live
+    # 42 budgets.  Beyond one p(x) block of max(budget, D·(D // 2)) cells,
+    # only the form and one reused product are live, and the transposed
+    # chunk's d cells for each row the floor adds (220 KB at d = 48, none
+    # at d = 8)
     monkeypatch.setattr(tensors, "CHUNK_CELLS", BUDGET_CELLS)
     for d, n in ((8, 16 * 1024), (48, 1000)):
         sym = d * (d + 1) // 2
-        rows = max(BUDGET_CELLS // sym, sym // 2)
+        floor_rows = max(0, sym // 2 - BUDGET_CELLS // sym)
         block = max(BUDGET_CELLS, sym * (sym // 2))
         s = Sample(np.random.default_rng(51).standard_normal((n, d)))
         _, peak = run_traced(lambda: empirical_moment(s, 4))
-        assert peak < (8 * (2 * sym * sym + block + d * rows)
+        assert peak < (8 * (2 * sym * sym + block + d * floor_rows)
                        + UFUNC_BUFFERS), d
 
 

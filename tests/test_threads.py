@@ -30,13 +30,13 @@ REFUSAL_PROBE = ("import sys\n"
                  "    print('numpy' in sys.modules)\n")
 
 
-def _import_cltcert(probe=PROBE, **env_vars):
+def _python(*args, **env_vars):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     src = str(Path(cltcert.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.update(env_vars)
-    return subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -46,21 +46,21 @@ needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
 
 @needs_proc
 def test_blas_runs_on_one_thread_by_default():
-    proc = _import_cltcert()
+    proc = _python("-c", PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1"]
 
 
 @needs_proc
 def test_cltcert_threads_sets_the_blas_variables():
-    proc = _import_cltcert(CLTCERT_THREADS="2")
+    proc = _python("-c", PROBE, CLTCERT_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[0] == "2"
 
 
 @needs_proc
 def test_an_explicit_blas_variable_wins_over_the_default():
-    proc = _import_cltcert(OPENBLAS_NUM_THREADS="2")
+    proc = _python("-c", PROBE, OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[0] == "2"
 
@@ -69,8 +69,17 @@ def test_an_explicit_blas_variable_wins_over_the_default():
 # value that passed it would start that many
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
 def test_an_invalid_thread_count_is_refused(value):
-    proc = _import_cltcert(REFUSAL_PROBE, CLTCERT_THREADS=value)
+    proc = _python("-c", REFUSAL_PROBE, CLTCERT_THREADS=value)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"CLTCERT_THREADS must be a positive integer, got {value!r}",
         "False"]
+
+
+def test_the_cli_refuses_an_invalid_thread_count_before_any_command():
+    proc = _python("-m", "cltcert.cli", "bound", "--help",
+                   CLTCERT_THREADS="abc")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "ValueError: CLTCERT_THREADS must be a positive integer, got 'abc'")
