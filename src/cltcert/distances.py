@@ -197,6 +197,41 @@ def ks_two_sample_1d(a, b) -> float:
     return float(np.abs(rank_a / na - (count - rank_a) / nb).max())
 
 
+def _ks_bound(a: np.ndarray, b: np.ndarray) -> int | float:
+    """An integer upper bound on na·nb times the KS statistic of the 1-D
+    arrays a and b: on max |rank_a·nb − rank_b·na| over the pooled order.
+
+    Both samples are binned by one monotone map of the values onto
+    (na + nb) // 8 equal bins over [min, max], so each bin is an interval
+    of values.  Inside bin k the running sum s moves by +nb for each entry
+    of a and by −na for each entry of b, from its value left_k at the bin's
+    start, so every |s| in or at the end of the bin is at most
+    max(left_k + nb·a_k, na·b_k − left_k).  Returns ``math.inf``, which
+    bounds nothing, unless the pooled span is finite and positive, the
+    scale bins/span is finite and positive (8 values or more) and
+    na·nb < 2⁵⁰: so ±inf, NaN, constant samples and subnormal spans all
+    reach ``ks_two_sample_1d``, which rejects NaN.
+    """
+    na, nb = a.size, b.size
+    bins = (na + nb) // 8
+    # one pass over each sample, which may be a strided view; min
+    # propagates NaN
+    v = np.concatenate([a, b])
+    lo = float(v.min())
+    span = float(v.max()) - lo
+    scale = bins / span if span > 0.0 else 0.0
+    if not (0.0 < scale < math.inf and na * nb < 2 ** 50):
+        return math.inf
+    v -= lo
+    v *= scale  # ≥ 0, so the cast floors it
+    k = v.astype(np.intp)
+    np.minimum(k, bins - 1, out=k)  # the maximum maps onto bins
+    ca = np.bincount(k[:na], minlength=bins) * nb  # nb·a_k
+    cb = np.bincount(k[na:], minlength=bins) * na  # na·b_k
+    s = np.cumsum(ca - cb)  # s at the end of each bin; left_k = s − ca + cb
+    return int(max((s + cb).max(), (ca - s).max()))
+
+
 def _levy_feasible(eps: float, a: np.ndarray, b: np.ndarray) -> bool:
     # F(x) <= G(x+eps)+eps: F jumps at a-points and is flat after, G(x+eps)
     # is nondecreasing, so the binding x are exactly the a-points.
@@ -291,15 +326,25 @@ def _sup_ks(sa: Sample, sb: Sample, pairs, n_boot: int,
     """Max of the exact 1-D KS statistic over the candidate ``(a, b)``
     pairs, the first on a tie, with the bootstrap stderr at that pair.
 
-    The best pair is kept as a copy: a pair may be a view into a buffer
-    that ``pairs`` overwrites when it builds the next block.  Each pair is
-    dropped before the next is drawn, so a pair that is a fresh array is
-    freed first."""
+    Only the first pair and the pairs whose ``_ks_bound`` reaches the
+    running best are sorted by ``ks_two_sample_1d``; the others cannot
+    replace it.  The best pair is kept as a copy: a pair may be a view into
+    a buffer that ``pairs`` overwrites when it builds the next block.  Each
+    pair is dropped before the next is drawn, so a pair that is a fresh
+    array is freed first."""
     best_val, best = -1.0, None
     for a, b in pairs:
-        val = ks_two_sample_1d(a, b)
-        if val > best_val:
-            best_val, best = val, (a.copy(), b.copy())
+        # A pair with bound < best_val·na·nb − 1 has an exact top |s| below
+        # it, and with na·nb < 2⁵⁰ the kernel's float (within 2⁻⁵¹ of
+        # |s|/(na·nb), see ks_two_sample_1d) is then strictly below
+        # best_val, even after the two roundings here (each within 2⁻⁴):
+        # skipping it keeps the value, the first of tied pairs and so the
+        # stderr.
+        if best is None or (_ks_bound(a, b)
+                            >= best_val * (a.size * b.size) - 1):
+            val = ks_two_sample_1d(a, b)
+            if val > best_val:
+                best_val, best = val, (a.copy(), b.copy())
         del a, b
     return DistanceEstimate(value=best_val,
                             stderr=_bootstrap_stderr(*best, n_boot, rng),
@@ -341,9 +386,11 @@ def delta_B_hat(sa: Sample, sb: Sample, n_centers: int = 256, seed: int = 0,
     exact 1-D KS statistic on the radii ‖row − t‖; the estimate is the max
     over centers.  Candidate centers: the origin, ``n_centers`` Gaussian
     draws scaled by the pooled trace(Σ̂)^{1/2}, and points on the ±
-    canonical axes at the same scale.  The stderr is a row bootstrap
-    at the maximizing center, so it reflects sampling noise of the KS value
-    there, not search-set variability.
+    canonical axes at the same scale.  Only the centers whose histogram
+    bound (``_ks_bound``) reaches the running best are sorted for their
+    exact KS value; the others cannot beat it.  The stderr is a row
+    bootstrap at the maximizing center, so it reflects sampling noise of
+    the KS value there, not search-set variability.
     """
     _check_search(sa, sb, "n_centers", n_centers, n_boot)
     d = sa.dim
@@ -395,6 +442,8 @@ def delta_H_hat(sa: Sample, sb: Sample, n_dirs: int = 256, seed: int = 0,
     Max over unit directions (uniform on the sphere plus canonical axes) of
     the exact 1-D KS statistic on the projections.  Sign flips of a
     direction leave the KS value unchanged, so only +axes are included.
+    As in ``delta_B_hat``, only the directions whose histogram bound
+    reaches the running best are sorted.
 
     The projections are built a block of directions at a time, so beyond
     the two samples the working set is about ``tensors.CHUNK_CELLS`` cells

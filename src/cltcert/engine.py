@@ -93,6 +93,9 @@ def _check_number(name: str, v, integral: bool = False) -> None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+# relative slack for rounding in MomentSummary's covariance inequalities
+COVARIANCE_SLACK = 1e-9
+
 # admissible (K, M, a, b) tuples behind the published smoothing constants,
 # checked by verify_constants_constraint; M is the constant for order K
 CONSTANT_TUPLES = ((3, 54.1, 27.46, 14.0),
@@ -265,6 +268,35 @@ class MomentSummary:
                 raise ValueError(
                     f"{name} = {v} violates the lower bound 1 for whitened "
                     f"fourth-moment operator norms")
+        self._check_covariance_scalars()
+
+    def _check_covariance_scalars(self) -> None:
+        """``ValueError`` for covariance scalars that no covariance has, with
+        ``COVARIANCE_SLACK`` relative slack for rounding: λ_min ≤ ‖Σ‖ ≤ ‖Σ‖_F
+        ≤ √d·‖Σ‖, λ_min(Σ_T) ≤ ‖Σ_T‖, ‖Σ − Σ_T‖ ≤ ‖Σ − Σ_T‖_F ≤
+        √d·‖Σ − Σ_T‖, and ‖Σ⁻¹‖·‖Σ‖ ≥ 1, equal to ‖Σ‖/λ_min when all three
+        are set."""
+        for lo, hi, root_d in (("sigma_min_eig", "sigma_op", ""),
+                               ("sigma_op", "sigma_frob", ""),
+                               ("sigma_frob", "sigma_op", "sqrt(d)*"),
+                               ("sigma_t_min_eig", "sigma_t_op", ""),
+                               ("cov_gap_op", "cov_gap_frob", ""),
+                               ("cov_gap_frob", "cov_gap_op", "sqrt(d)*")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            factor = math.sqrt(self.d) if root_d else 1.0
+            if a is not None and b is not None and (
+                    a > factor * b * (1.0 + COVARIANCE_SLACK)):
+                raise ValueError(f"{lo} = {a} violates {lo} <= {root_d}{hi} "
+                                 f"= {root_d}{b}")
+        cond, op, lam = self.sigma_cond, self.sigma_op, self.sigma_min_eig
+        if cond is None:
+            return
+        if cond < 1.0 - COVARIANCE_SLACK:
+            raise ValueError(f"sigma_cond = {cond} violates sigma_cond >= 1")
+        if op is not None and lam is not None and (
+                abs(cond * lam - op) > COVARIANCE_SLACK * op):
+            raise ValueError(f"sigma_cond = {cond} violates sigma_cond = "
+                             f"sigma_op / sigma_min_eig = {op} / {lam}")
 
     def require(self, *names: str) -> None:
         missing = [nm for nm in names if getattr(self, nm) is None]

@@ -402,6 +402,21 @@ def test_moments_file_that_is_not_a_summary_is_a_configuration_error(
     assert (code, out, err) == (2, "", f"configuration error: {problem}\n")
 
 
+def test_moments_file_with_an_impossible_condition_number_exits_2(
+        tmp_path, capsys):
+    # a condition number below 1 once shrank the ball-normal total 91-fold
+    payload = json.loads(summarize_gaussian(np.eye(3), 10_000).to_json())
+    path = tmp_path / "m.json"
+    argv = ["bound", "--theorem", "ball-normal", "--moments", str(path)]
+    path.write_text(json.dumps(payload))
+    assert run_cli(argv, capsys)[0] == 0
+    payload["sigma_cond"] = 0.01
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", "configuration error: sigma_cond = "
+                                "0.01 violates sigma_cond >= 1\n")
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from cltcert import distances, tensors
 from cltcert.distances import (
     DistanceEstimate,
     _bootstrap_stderr,
+    _ks_bound,
     _projections,
     _radii,
     _sort_keys,
@@ -149,7 +150,9 @@ def test_ks_equals_two_sort_reference_bit_for_bit():
     assert fallback[-5:] == [True, True, False, False, False]
 
 
-def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
+def _fuzz_pairs():
+    """3 000 small pairs ``(kind, a, b)`` at scales from 1e-5 to 1e5; kind
+    3 holds quarters of the scale with zeros among them."""
     rng = np.random.default_rng(23)
     for _ in range(3000):
         na, nb = rng.integers(1, 40, size=2)
@@ -165,9 +168,33 @@ def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
             a = np.round(4 * a / scale) / 4 * scale
             b = np.round(4 * b / scale) / 4 * scale
             a[rng.integers(na)] = 0.0
+        yield kind, a, b
+
+
+def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
+    for kind, a, b in _fuzz_pairs():
+        if kind == 3:
             assert _sort_keys(a, b) is not None
         assert ks_two_sample_1d(a, b) == ks_two_sample_1d(b, a) == (
             _ks_reference(a, b))
+
+
+def test_ks_bound_is_at_least_the_exact_top():
+    pairs = _edge_pairs() + [(a, b) for _, a, b in _fuzz_pairs()]
+    finite = 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            bound = _ks_bound(x, y)
+            assert bound >= round(_ks_reference(x, y) * x.size * y.size)
+            finite += bound < math.inf
+            if not np.isfinite(np.concatenate([x, y])).all():
+                assert bound == math.inf
+    # most fuzz pairs hold 8 values or more, and so get bins
+    assert finite > len(pairs)
+    # a NaN is left for the kernel to reject
+    x = np.append(np.arange(20.0), np.nan)
+    assert _ks_bound(x, np.arange(10.0)) == _ks_bound(np.arange(10.0), x) == (
+        math.inf)
 
 
 @pytest.mark.parametrize("n_boot", [0, 1, 2, 37])
@@ -500,25 +527,66 @@ def test_delta_H_same_law_monotone_and_errors():
             est(a, b, 8, seed=9, n_boot=1)
 
 
-def test_searches_call_the_ks_kernel_once_per_candidate(monkeypatch):
-    # the benchmark's tracer counts the calls to ks_two_sample_1d, by its
-    # global name, and the rows they read
-    rows = []
-    ks = distances.ks_two_sample_1d
+def _traced(monkeypatch, estimator, sa, sb, exhaustive, *args, **kwargs):
+    """The estimate and the KS values the search evaluated, in order; with
+    ``exhaustive`` the bound keeps every candidate."""
+    vals = []
 
     def spy(a, b):
-        rows.append(a.size + b.size)
-        return ks(a, b)
+        assert (a.size, b.size) == (sa.n, sb.n)
+        vals.append(ks_two_sample_1d(a, b))
+        return vals[-1]
 
-    monkeypatch.setattr(distances, "ks_two_sample_1d", spy)
-    d = 3
-    a = sample_gaussian(np.eye(d), 300, seed=14)
-    b = sample_gaussian(np.eye(d), 200, seed=15)
-    delta_B_hat(a, b, n_centers=5, seed=1, n_boot=2)
-    assert rows == [500] * (1 + 5 + 2 * d)
-    rows.clear()
-    delta_H_hat(a, b, n_dirs=7, seed=1, n_boot=2)
-    assert rows == [500] * (7 + d)
+    with monkeypatch.context() as m:
+        # the benchmark's tracer counts the calls to ks_two_sample_1d by
+        # its global name, and the rows they read, so every exact
+        # evaluation must go through it
+        m.setattr(distances, "ks_two_sample_1d", spy)
+        if exhaustive:
+            m.setattr(distances, "_ks_bound", lambda a, b: math.inf)
+        return estimator(sa, sb, *args, **kwargs), vals
+
+
+@pytest.mark.parametrize("estimator, n_candidates", [
+    (delta_B_hat, 1 + 32 + 2 * 3), (delta_H_hat, 32 + 3)],
+    ids=["ball", "halfspace"])
+def test_searches_sort_only_the_candidates_the_bound_keeps(
+        estimator, n_candidates, monkeypatch):
+    a = sample_gaussian(np.eye(3), 3000, seed=14)
+    b = sample_gaussian(np.eye(3), 2000, seed=15)
+    full, every = _traced(monkeypatch, estimator, a, b, True, 32, seed=1,
+                          n_boot=0)
+    pruned, kept = _traced(monkeypatch, estimator, a, b, False, 32, seed=1,
+                           n_boot=0)
+    assert len(every) == n_candidates
+    # a same-law pair skips candidates; the kept ones are evaluated in
+    # order, the first always
+    assert 1 <= len(kept) < len(every) and kept[0] == every[0]
+    rest = iter(every)
+    assert all(v in rest for v in kept)
+    assert pruned == full and pruned.value == max(every)
+
+
+@pytest.mark.parametrize("case", ["same-law", "shifted", "rounded"])
+def test_pruned_searches_equal_the_exhaustive_search(case, monkeypatch):
+    x = sample_gaussian(np.eye(3), 2000, seed=40).data
+    y = sample_gaussian(np.eye(3), 1500, seed=41).data
+    if case == "shifted":
+        y = y + [0.3, 0.0, 0.0]
+    elif case == "rounded":  # ties within and across samples
+        x, y = np.round(4 * x) / 4, np.round(4 * y) / 4 + 0.25
+    sa, sb = _sample(x), _sample(y)
+    for seed in (0, 1, 2):
+        for estimator in (delta_B_hat, delta_H_hat):
+            full, every = _traced(monkeypatch, estimator, sa, sb, True, 24,
+                                  seed=seed, n_boot=20)
+            pruned, kept = _traced(monkeypatch, estimator, sa, sb, False,
+                                   24, seed=seed, n_boot=20)
+            assert (pruned.value, pruned.stderr, pruned.search_set) == (
+                full.value, full.stderr, full.search_set)
+            assert len(kept) <= len(every)
+            if case == "shifted":  # the best candidate is not the first
+                assert int(np.argmax(every)) > 0
 
 
 def test_rotation_invariance_up_to_search_noise():

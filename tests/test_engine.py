@@ -168,6 +168,40 @@ def test_moment_summary_validation():
         ms.require("x_w4_mean", "sigma_cond")
 
 
+# Each case maps a factor e onto summary fields that meet one covariance
+# inequality for e = 1 + 5e-10 (inside the rounding slack) and break it for
+# e = 1 + 2e-9, where the message names the field and the inequality.  At
+# d = 4, sqrt(d) = 2.
+@pytest.mark.parametrize("scalars, relation", [
+    (lambda e: {"sigma_op": 2.0, "sigma_min_eig": 2.0 * e},
+     "sigma_min_eig <= sigma_op = 2.0"),
+    (lambda e: {"sigma_frob": 3.0, "sigma_op": 3.0 * e},
+     "sigma_op <= sigma_frob = 3.0"),
+    (lambda e: {"sigma_op": 1.5, "sigma_frob": 3.0 * e},
+     "sigma_frob <= sqrt(d)*sigma_op = sqrt(d)*1.5"),
+    (lambda e: {"sigma_t_op": 0.5, "sigma_t_min_eig": 0.5 * e},
+     "sigma_t_min_eig <= sigma_t_op = 0.5"),
+    (lambda e: {"cov_gap_frob": 0.25, "cov_gap_op": 0.25 * e},
+     "cov_gap_op <= cov_gap_frob = 0.25"),
+    (lambda e: {"cov_gap_op": 0.125, "cov_gap_frob": 0.25 * e},
+     "cov_gap_frob <= sqrt(d)*cov_gap_op = sqrt(d)*0.125"),
+    (lambda e: {"sigma_cond": 1.0 / e}, "sigma_cond >= 1"),
+    (lambda e: {"sigma_op": 3.0, "sigma_min_eig": 0.5, "sigma_cond": 6.0 * e},
+     "sigma_cond = sigma_op / sigma_min_eig = 3.0 / 0.5"),
+    (lambda e: {"sigma_op": 3.0, "sigma_min_eig": 0.5, "sigma_cond": 6.0 / e},
+     "sigma_cond = sigma_op / sigma_min_eig = 3.0 / 0.5"),
+])
+def test_moment_summary_refuses_covariance_scalars_no_covariance_has(
+        scalars, relation):
+    MomentSummary(d=4, n=10, **scalars(1.0 + 5e-10))
+    with pytest.raises(ValueError) as err:
+        MomentSummary(d=4, n=10, **scalars(1.0 + 2e-9))
+    name = relation.split()[0]
+    message = str(err.value)
+    assert message.startswith(f"{name} = ")
+    assert message.endswith(f" violates {relation}")
+
+
 # ---------------------------------------------------------------------------
 # ball bound vs 𝒩(0, Σ)
 # ---------------------------------------------------------------------------
