@@ -81,8 +81,7 @@ def _pooled_ranks(a: np.ndarray, b: np.ndarray
     values, so they are exactly what ``searchsorted(..., side="right")``
     returns there.  Returns ``(order, rank_a, rank_b)``; ``order[i] < a.size``
     marks the entries of a.  ``_bootstrap_stderr`` reads the pooled order of
-    the entries; ``ks_two_sample_1d`` uses the counts only where
-    ``_sort_keys`` declines.
+    the entries; ``ks_two_sample_1d`` reads only the counts.
     """
     v = np.concatenate([a, b])
     order = np.argsort(v)
@@ -99,102 +98,25 @@ def _pooled_ranks(a: np.ndarray, b: np.ndarray
     return order, rank_a, rank_b
 
 
-def _sort_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The entries of a ∪ b as sorted uint64 keys: bits 63..1 hold an
-    order-preserving code of the value, bit 0 is set for the entries of b.
-
-    Equal values get equal codes (−0.0 is added to 0.0 first, so the two
-    zeros tie as under ``==``), and ±inf are ordered like other values.  The
-    code is 2⁶² + m for v ≥ 0 and 2⁶² − 1 − m for v < 0, where m is |v|'s
-    bit pattern less the exponent field of the smallest |v|.  Beside exact
-    zeros, which keep m = 0, the field is that of the smallest nonzero |v|
-    less one binade (none below 2⁻¹⁰²¹), so every other m stays above 0.
-    Returns None when m does not fit in 62 bits: the magnitudes span 2¹⁰
-    binades or more, as for values from 1e-300 to 1e300, or a subnormal
-    beside |v| ≥ 2.  numpy sorts 64-bit values about three times faster
-    than it argsorts them, which is why the label travels inside the key.
-    """
-    na = a.size
-    keys = np.empty(na + b.size, dtype=np.uint64)
-    v = keys.view(np.float64)
-    np.add(a, 0.0, out=v[:na])
-    np.add(b, 0.0, out=v[na:])
-    signed = keys.view(np.int64)
-    sgn = signed >> 63
-    keys &= 2 ** 63 - 1  # the magnitude bits, monotone in |v|
-    hi = int(keys.max())
-    if hi > 0x7FF << 52:  # above the bits of inf: a NaN
-        raise ValueError("samples must not contain NaN")
-    lo = int(keys.min())
-    zeros = lo == 0 < hi  # exact zeros, as in rounded or integer data
-    if zeros:
-        keys -= 1  # wraps the zeros to the top, −1 as int64
-        # a binade below the smallest nonzero |v|, so m > 0 off the zeros
-        lo = max(int(keys.min()) + 1 - (1 << 52), 0)
-    shift = lo & (0x7FF << 52)
-    if hi - shift >= 2 ** 62:
-        return None
-    signed -= shift - zeros  # the 1 taken off above goes back
-    if zeros:
-        np.maximum(signed, 0, out=signed)  # the zeros, now below 0: m = 0
-    signed ^= sgn  # m → −1 − m for the negative values
-    signed += 2 ** 62
-    keys <<= 1
-    keys[na:] |= 1
-    keys.sort()
-    return keys
-
-
 def ks_two_sample_1d(a, b) -> float:
     """Exact two-sample Kolmogorov–Smirnov statistic.
 
     Supremum over all thresholds of |F̂_a − F̂_b|, attained at data points:
-    both ECDFs are read at every distinct pooled value.  NaN is rejected;
-    ±inf is ordered like any other value.
-
-    The pooled sample is sorted once, as packed keys (``_sort_keys``) that
-    carry each entry's sample in their lowest bit, and the statistic is
-    read off one integer running sum.  Where the values span too many
-    binades for the keys, it argsorts them instead (``_pooled_ranks``).
-    Both give the same float.
+    both ECDFs are read at every distinct pooled value, off one argsort of
+    the pooled sample (``_pooled_ranks``).  NaN is rejected; ±inf is
+    ordered like any other value, and −0.0 ties 0.0.  The float
+    |rank_a/na − rank_b/nb| lies within 2⁻⁵¹ of the exact
+    |rank_a·nb − rank_b·na|/(na·nb): each division and the subtraction
+    round by at most 2⁻⁵⁴ on values in [0, 1].
     """
-    # reshape, unlike ravel, keeps a strided 1-D view: the pooled keys
-    # copy it anyway
+    # reshape, unlike ravel, keeps a strided 1-D view: the pooled sample
+    # copies it anyway
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    na, nb = a.size, b.size
-    keys = _sort_keys(a, b)
-    if keys is None:
-        _, rank_a, rank_b = _pooled_ranks(a, b)
-        return float(np.abs(rank_a / na - rank_b / nb).max())
-    n = na + nb
-    # after the p + 1 smallest keys, s[p] = rank_a·nb − rank_b·na exactly
-    s = (keys & 1).view(np.int64)
-    s *= -n
-    s += nb
-    np.cumsum(s, out=s)
-    keys >>= 1  # the value codes
-    # the ECDFs are read at the last entry of each run of equal codes
-    ends = keys[1:] != keys[:-1]
-    mag = np.abs(s, out=keys.view(np.int64))
-    if not ends.all():
-        mag[:-1] *= ends
-    top = int(mag.max())
-    if top == 0:
-        return 0.0
-    # The result must be the float maximum of the expression the argsort
-    # path evaluates, |rank_a/na − rank_b/nb|, at every run end.  Each
-    # evaluation lies within 2⁻⁵¹ of the exact |s|/(na·nb), and distinct
-    # exact values differ by at least 1/(na·nb).  So a run end with
-    # |s| < top − na·nb·2⁻⁵⁰ evaluates below the run end holding top, and
-    # cannot be the maximum; for na·nb < 2⁵⁰ only exact ties of top
-    # remain.  The expression is evaluated at every run end left.
-    pos = np.flatnonzero(mag >= max(top - (na * nb >> 50), 1))
-    count = pos + 1
-    rank_a = (s[pos] + count * na) // n
-    return float(np.abs(rank_a / na - (count - rank_a) / nb).max())
+    _, rank_a, rank_b = _pooled_ranks(a, b)
+    return float(np.abs(rank_a / a.size - rank_b / b.size).max())
 
 
 def _ks_bound(a: np.ndarray, b: np.ndarray) -> int | float:

@@ -93,7 +93,7 @@ def _check_number(name: str, v, integral: bool = False) -> None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-# relative slack for rounding in MomentSummary's covariance inequalities
+# relative slack for rounding in MomentSummary's moment inequalities
 COVARIANCE_SLACK = 1e-9
 
 # admissible (K, M, a, b) tuples behind the published smoothing constants,
@@ -268,26 +268,31 @@ class MomentSummary:
                 raise ValueError(
                     f"{name} = {v} violates the lower bound 1 for whitened "
                     f"fourth-moment operator norms")
-        self._check_covariance_scalars()
+        self._check_inequalities()
 
-    def _check_covariance_scalars(self) -> None:
-        """``ValueError`` for covariance scalars that no covariance has, with
+    def _check_inequalities(self) -> None:
+        """``ValueError`` for scalars that no law has, with
         ``COVARIANCE_SLACK`` relative slack for rounding: λ_min ≤ ‖Σ‖ ≤ ‖Σ‖_F
         ≤ √d·‖Σ‖, λ_min(Σ_T) ≤ ‖Σ_T‖, ‖Σ − Σ_T‖ ≤ ‖Σ − Σ_T‖_F ≤
-        √d·‖Σ − Σ_T‖, and ‖Σ⁻¹‖·‖Σ‖ ≥ 1, equal to ‖Σ‖/λ_min when all three
-        are set."""
-        for lo, hi, root_d in (("sigma_min_eig", "sigma_op", ""),
-                               ("sigma_op", "sigma_frob", ""),
-                               ("sigma_frob", "sigma_op", "sqrt(d)*"),
-                               ("sigma_t_min_eig", "sigma_t_op", ""),
-                               ("cov_gap_op", "cov_gap_frob", ""),
-                               ("cov_gap_frob", "cov_gap_op", "sqrt(d)*")):
+        √d·‖Σ − Σ_T‖, λ₀² ≤ λ_min(Σ) and λ_min(Σ_T), 𝔼‖W‖⁴ ≤ d²·‖𝔼W^⊗4‖
+        on both sides (𝔼W_i²W_j² ≤ ‖𝔼W^⊗4‖ for each of the d² pairs), and
+        ‖Σ⁻¹‖·‖Σ‖ ≥ 1, equal to ‖Σ‖/λ_min when all three are set."""
+        scales = {"": 1.0, "sqrt(d)*": math.sqrt(self.d), "d^2*": self.d ** 2}
+        for lo, hi, scale in (("sigma_min_eig", "sigma_op", ""),
+                              ("sigma_op", "sigma_frob", ""),
+                              ("sigma_frob", "sigma_op", "sqrt(d)*"),
+                              ("sigma_t_min_eig", "sigma_t_op", ""),
+                              ("cov_gap_op", "cov_gap_frob", ""),
+                              ("cov_gap_frob", "cov_gap_op", "sqrt(d)*"),
+                              ("lambda0_sq", "sigma_min_eig", ""),
+                              ("lambda0_sq", "sigma_t_min_eig", ""),
+                              ("x_w4_mean", "x_w4_op", "d^2*"),
+                              ("t_w4_mean", "t_w4_op", "d^2*")):
             a, b = getattr(self, lo), getattr(self, hi)
-            factor = math.sqrt(self.d) if root_d else 1.0
             if a is not None and b is not None and (
-                    a > factor * b * (1.0 + COVARIANCE_SLACK)):
-                raise ValueError(f"{lo} = {a} violates {lo} <= {root_d}{hi} "
-                                 f"= {root_d}{b}")
+                    a > scales[scale] * b * (1.0 + COVARIANCE_SLACK)):
+                raise ValueError(f"{lo} = {a} violates {lo} <= {scale}{hi} "
+                                 f"= {scale}{b}")
         cond, op, lam = self.sigma_cond, self.sigma_op, self.sigma_min_eig
         if cond is None:
             return

@@ -417,6 +417,28 @@ def test_moments_file_with_an_impossible_condition_number_exits_2(
                                 "0.01 violates sigma_cond >= 1\n")
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("lambda0_sq", 1.5,
+     "lambda0_sq = 1.5 violates lambda0_sq <= sigma_min_eig = 1.0"),
+    ("x_w4_op", 1.25,
+     "x_w4_mean = 15.0 violates x_w4_mean <= d^2*x_w4_op = d^2*1.25"),
+])
+def test_moments_file_with_impossible_fourth_moments_or_lambda0_exits_2(
+        field, value, problem, tmp_path, capsys):
+    # a lambda0_sq above the covariance's smallest eigenvalue, or a
+    # fourth-moment norm below E||W||^4 / d^2, names moments no law has
+    payload = json.loads(summarize_gaussian(np.eye(3), 10_000).to_json())
+    payload.update(sigma_t_min_eig=1.0, lambda0_sq=1.0)
+    path = tmp_path / "m.json"
+    argv = ["bound", "--theorem", "ball-normal", "--moments", str(path)]
+    path.write_text(json.dumps(payload))
+    assert run_cli(argv, capsys)[0] == 0
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    assert run_cli(argv, capsys) == (2, "",
+                                     f"configuration error: {problem}\n")
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cltcert.distances import (
     _ks_bound,
     _projections,
     _radii,
-    _sort_keys,
     _sup_ks,
     anti_concentration_probe,
     delta_B_hat,
@@ -120,19 +119,17 @@ def _edge_pairs():
         (np.array([-0.0, 1.5, -0.0]), np.array([0.0, -1.0, 0.0, 0.0])),
         # the smallest subnormals, beside zeros and beside each other
         (np.array([5e-324, -5e-324, 0.0, 1.0]), np.array([-5e-324, 0.0])),
-        # infinities are ordered values; the packed keys take them beside
-        # magnitudes of 2 or more, and the argsort path beside smaller ones
+        # infinities are ordered values, beside magnitudes of 2 or more
+        # and beside smaller ones
         (np.array([-inf, 0.0, inf, inf]), np.array([inf, -inf, 1.0])),
         (np.full(7, inf), np.full(4, -inf)),
         (np.array([-inf, 2.0, 3.5, inf]), np.array([inf, -4.0, 2.0, 2.0])),
         (np.array([-inf, 0.5, inf]), np.array([0.25, inf, -0.75, inf])),
-        # magnitudes spanning 2000 binades take the argsort path, and so
-        # does a subnormal beside |v| >= 2
+        # magnitudes spanning 2000 binades, and a subnormal beside
+        # |v| >= 2
         (np.array([1e-300, -1e300, 3.0, 1e-300]), np.array([1e300, -1e-300])),
         (np.array([0.0, 5e-324, -4.0]), np.array([2.0, -0.0, 5e-324])),
-        # exact zeros beside |v| >= 2 take the packed keys, shifted by the
-        # smallest nonzero |v| less one binade, with or without a shift
-        # left to take
+        # exact zeros beside |v| >= 2, beside 1 and beside tiny normals
         (np.round(8 * rng.standard_normal(60)) / 4,
          np.round(8 * rng.standard_normal(45)) / 4 + 0.25),
         (np.array([0.0, 1.0, -0.0, 1.0, 4.0]), np.array([-1.0, 0.0, 1.0])),
@@ -145,14 +142,12 @@ def test_ks_equals_two_sort_reference_bit_for_bit():
     for a, b in pairs:
         assert ks_two_sample_1d(a, b) == _ks_reference(a, b)
         assert ks_two_sample_1d(b, a) == _ks_reference(b, a)
-    # the pairs reach both the packed keys and the argsort path
-    fallback = [_sort_keys(a, b) is None for a, b in pairs]
-    assert fallback[-5:] == [True, True, False, False, False]
 
 
 def _fuzz_pairs():
-    """3 000 small pairs ``(kind, a, b)`` at scales from 1e-5 to 1e5; kind
-    3 holds quarters of the scale with zeros among them."""
+    """3 000 small pairs ``(a, b)`` at scales from 1e-5 to 1e5: continuous,
+    with ties, rounded at the scale, or quarters of the scale with zeros
+    among them."""
     rng = np.random.default_rng(23)
     for _ in range(3000):
         na, nb = rng.integers(1, 40, size=2)
@@ -168,19 +163,17 @@ def _fuzz_pairs():
             a = np.round(4 * a / scale) / 4 * scale
             b = np.round(4 * b / scale) / 4 * scale
             a[rng.integers(na)] = 0.0
-        yield kind, a, b
+        yield a, b
 
 
 def test_ks_fuzz_equals_two_sort_reference_bit_for_bit():
-    for kind, a, b in _fuzz_pairs():
-        if kind == 3:
-            assert _sort_keys(a, b) is not None
+    for a, b in _fuzz_pairs():
         assert ks_two_sample_1d(a, b) == ks_two_sample_1d(b, a) == (
             _ks_reference(a, b))
 
 
 def test_ks_bound_is_at_least_the_exact_top():
-    pairs = _edge_pairs() + [(a, b) for _, a, b in _fuzz_pairs()]
+    pairs = _edge_pairs() + list(_fuzz_pairs())
     finite = 0
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
@@ -384,8 +377,8 @@ def test_delta_H_memory_stays_within_the_chunk_budget(rounded, run_traced):
     # directions, one budget; the KS statistic, its bootstrap and the best
     # pair take a few copies of the pooled rows.  A second block kept alive
     # would break the bound.  Quarter-rounded rows scaled by 1e-300 or by
-    # 1e300 span 2000 binades, so their KS statistics take the argsort
-    # path; continuous rows take the packed keys.
+    # 1e300 span 2000 binades, with ties and exact zeros; continuous rows
+    # have none.
     n, d = 32_768, 3
     rng = np.random.default_rng(71)
 
@@ -398,7 +391,6 @@ def test_delta_H_memory_stays_within_the_chunk_budget(rounded, run_traced):
 
     sa = _sample(rows(0.0))
     sb = _sample(rows(0.25))
-    assert (_sort_keys(sa.data[:, 0], sb.data[:, 0]) is None) == rounded
     est, peak = run_traced(
         lambda: delta_H_hat(sa, sb, n_dirs=256, seed=3, n_boot=2))
     assert est.value > 0.0 and est.stderr > 0.0

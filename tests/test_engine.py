@@ -168,10 +168,12 @@ def test_moment_summary_validation():
         ms.require("x_w4_mean", "sigma_cond")
 
 
-# Each case maps a factor e onto summary fields that meet one covariance
+# Each case maps a factor e onto summary fields that meet one moment
 # inequality for e = 1 + 5e-10 (inside the rounding slack) and break it for
 # e = 1 + 2e-9, where the message names the field and the inequality.  At
-# d = 4, sqrt(d) = 2.
+# d = 4, sqrt(d) = 2 and d^2 = 16.  Beside the covariance scalars, the
+# table holds the whitened fourth moments: E||W||^4 sums E W_i^2 W_j^2 <=
+# ||E W^(x)4|| over the d^2 pairs (i, j).
 @pytest.mark.parametrize("scalars, relation", [
     (lambda e: {"sigma_op": 2.0, "sigma_min_eig": 2.0 * e},
      "sigma_min_eig <= sigma_op = 2.0"),
@@ -190,6 +192,16 @@ def test_moment_summary_validation():
      "sigma_cond = sigma_op / sigma_min_eig = 3.0 / 0.5"),
     (lambda e: {"sigma_op": 3.0, "sigma_min_eig": 0.5, "sigma_cond": 6.0 / e},
      "sigma_cond = sigma_op / sigma_min_eig = 3.0 / 0.5"),
+    (lambda e: {"sigma_min_eig": 0.75, "sigma_t_min_eig": 1.5,
+                "lambda0_sq": 0.75 * e},
+     "lambda0_sq <= sigma_min_eig = 0.75"),
+    (lambda e: {"sigma_min_eig": 1.5, "sigma_t_min_eig": 0.75,
+                "lambda0_sq": 0.75 * e},
+     "lambda0_sq <= sigma_t_min_eig = 0.75"),
+    (lambda e: {"x_w4_op": 1.5, "x_w4_mean": 24.0 * e},
+     "x_w4_mean <= d^2*x_w4_op = d^2*1.5"),
+    (lambda e: {"t_w4_op": 1.25, "t_w4_mean": 20.0 * e},
+     "t_w4_mean <= d^2*t_w4_op = d^2*1.25"),
 ])
 def test_moment_summary_refuses_covariance_scalars_no_covariance_has(
         scalars, relation):
