@@ -20,24 +20,20 @@ The package has five layers:
 A command-line front end lives in :mod:`cltcert.cli` (installed as
 ``cltcert``).
 
-BLAS and LAPACK run on one thread unless ``CLTCERT_THREADS``, a positive
-integer, asks for more.  A call is a short run of tall, thin products and
-small eigensolves, which a second thread does not speed up, and every BLAS
-thread adds to the start-up that each call pays.  Importing ``cltcert``
-makes the value the default of ``OMP_NUM_THREADS``,
-``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, so a BLAS variable that
-is already set wins; any other value raises ``ValueError``.  It must be in
-the environment before numpy loads: a loaded BLAS keeps its thread count.
+BLAS and LAPACK run on one thread unless ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` asks for more.  A call is
+a short run of tall, thin products and small eigensolves, which a second
+thread does not speed up, and every BLAS thread adds to the start-up that
+each call pays.  Importing ``cltcert`` makes 1 the default of each of the
+three variables, so a BLAS variable that is already set wins.  It must be
+in the environment before numpy loads: a loaded BLAS keeps its thread
+count.
 """
 
 import os as _os
 
-_threads = _os.environ.get("CLTCERT_THREADS") or "1"
-if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
-    raise ValueError("CLTCERT_THREADS must be a positive integer, got "
-                     f"{_threads!r}")
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    _os.environ.setdefault(_var, _threads)
+    _os.environ.setdefault(_var, "1")
 
 from cltcert import bootstrap, distances, engine, samplers, tensors
 from cltcert.tensors import (

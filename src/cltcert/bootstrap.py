@@ -155,7 +155,7 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
         raise ValueError("W dimension does not match the sample")
     certificate = None  # first, so that an invalid σ² fails before resampling
     if sigma2 is not None:
-        ms = bootstrap_summary(s, sigma2=sigma2, weight=w_spd.matrix)
+        ms = bootstrap_summary(s, sigma2=sigma2, weight=w_spd)
         certificate = bootstrap_delta(ms)
     stats, quantile = _ball_bootstrap(s.data - s.mean(), w_spd.sqrt(), B,
                                       alpha, substream(seed, "ball_quantile"))
@@ -294,7 +294,7 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
         pilot = spec.sample(max(n, COVERAGE_PILOT_N),
                             seed=int(pilot_rng.integers(0, 2 ** 63 - 1)))
         certificate, cert_error = _certify(lambda: delta_W(replace(
-            bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd.matrix),
+            bootstrap_summary(pilot, sigma2=sigma2, weight=w_spd),
             n=n)))
 
     hits = 0

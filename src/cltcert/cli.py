@@ -2,12 +2,9 @@
 
 Machine-readable results (JSON or CSV) go to stdout; human-oriented notes go
 to stderr.  Exit codes: 0 success, 2 configuration error, 3 certificate
-infeasibility.  An invalid ``CLTCERT_THREADS`` is refused before any of
-them: ``import cltcert`` raises ``ValueError``, so the command ends with
-Python's traceback and exit code 1 before it reads an argument.
-Stochastic commands require ``--seed``, and rerunning any command with the
-same configuration and seed produces byte-identical output (no timestamps
-are emitted).
+infeasibility.  Stochastic commands require ``--seed``, and rerunning any
+command with the same configuration and seed produces byte-identical output
+(no timestamps are emitted).
 
 A JSON config file can supply defaults via ``--config``; explicit flags win.
 """
@@ -307,8 +304,11 @@ def _experiment_score_level(args) -> list[str]:
 
 def _experiment_same_law(args, estimator: str) -> list[str]:
     spec = DistributionSpec(family=args.family, d=args.d)
-    a = spec.sample(args.n, seed=args.seed)
-    b = spec.sample(args.n, seed=args.seed + 1)
+    # each sample draws from its own substream, so runs at seeds s and s + 1
+    # share none
+    a, b = (spec.sample(args.n, seed=int(substream(
+        args.seed, f"same-law:{role}").integers(2 ** 63 - 1)))
+        for role in ("a", "b"))
     threshold = same_law_threshold(args.d, args.n, estimator=estimator,
                                    n_null=args.null_runs,
                                    n_cal=args.calibration_n, seed=args.seed,
@@ -502,8 +502,12 @@ def _apply_config(commands: list[_Parser], argv: list[str]) -> None:
     unknown = sorted(set(cfg) - valid)
     if unknown:
         raise ValueError("unknown config keys: " + ", ".join(unknown))
+    # a value goes to the flag's own parser as the text a command line would
+    # give it: a JSON string as itself, any other value as its JSON text
+    given = {k: v if isinstance(v, str) else json.dumps(v)
+             for k, v in cfg.items() if v is not None}
     for p in commands:
-        hit = {a.dest: cfg[a.dest] for a in p.arguments if a.dest in cfg}
+        hit = {a.dest: given[a.dest] for a in p.arguments if a.dest in given}
         p.set_defaults(**hit)
         for action in p.arguments:
             if action.dest in hit:

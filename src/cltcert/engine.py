@@ -275,19 +275,31 @@ class MomentSummary:
         ``COVARIANCE_SLACK`` relative slack for rounding: λ_min ≤ ‖Σ‖ ≤ ‖Σ‖_F
         ≤ √d·‖Σ‖, λ_min(Σ_T) ≤ ‖Σ_T‖, ‖Σ − Σ_T‖ ≤ ‖Σ − Σ_T‖_F ≤
         √d·‖Σ − Σ_T‖, λ₀² ≤ λ_min(Σ) and λ_min(Σ_T), 𝔼‖W‖⁴ ≤ d²·‖𝔼W^⊗4‖
-        on both sides (𝔼W_i²W_j² ≤ ‖𝔼W^⊗4‖ for each of the d² pairs), and
-        ‖Σ⁻¹‖·‖Σ‖ ≥ 1, equal to ‖Σ‖/λ_min when all three are set."""
-        scales = {"": 1.0, "sqrt(d)*": math.sqrt(self.d), "d^2*": self.d ** 2}
-        for lo, hi, scale in (("sigma_min_eig", "sigma_op", ""),
-                              ("sigma_op", "sigma_frob", ""),
-                              ("sigma_frob", "sigma_op", "sqrt(d)*"),
-                              ("sigma_t_min_eig", "sigma_t_op", ""),
-                              ("cov_gap_op", "cov_gap_frob", ""),
-                              ("cov_gap_frob", "cov_gap_op", "sqrt(d)*"),
-                              ("lambda0_sq", "sigma_min_eig", ""),
-                              ("lambda0_sq", "sigma_t_min_eig", ""),
-                              ("x_w4_mean", "x_w4_op", "d^2*"),
-                              ("t_w4_mean", "t_w4_op", "d^2*")):
+        on both sides (𝔼W_i²W_j² ≤ ‖𝔼W^⊗4‖ for each of the d² pairs), for
+        each third-moment tensor A ‖A‖_F ≤ d·‖A‖ and ‖A‖_F ≤ max|a|·√nonzero
+        (the envelopes of :func:`_surrogates`, which the ball routes take the
+        least of), and ‖Σ⁻¹‖·‖Σ‖ ≥ 1, equal to ‖Σ‖/λ_min when all three are
+        set."""
+        scales = {"": 1.0, "sqrt(d)*": math.sqrt(self.d), "d*": self.d,
+                  "d^2*": self.d ** 2}
+        checks = [("sigma_min_eig", "sigma_op", ""),
+                  ("sigma_op", "sigma_frob", ""),
+                  ("sigma_frob", "sigma_op", "sqrt(d)*"),
+                  ("sigma_t_min_eig", "sigma_t_op", ""),
+                  ("cov_gap_op", "cov_gap_frob", ""),
+                  ("cov_gap_frob", "cov_gap_op", "sqrt(d)*"),
+                  ("lambda0_sq", "sigma_min_eig", ""),
+                  ("lambda0_sq", "sigma_t_min_eig", ""),
+                  ("x_w4_mean", "x_w4_op", "d^2*"),
+                  ("t_w4_mean", "t_w4_op", "d^2*")]
+        for p in ("x_w3_", "dw3_", "d3_"):
+            checks.append((p + "frob", p + "op", "d*"))
+            nonzero = getattr(self, p + "nonzero")
+            if nonzero is not None:
+                scale = f"sqrt({p}nonzero)*"
+                scales[scale] = math.sqrt(nonzero)
+                checks.append((p + "frob", p + "max", scale))
+        for lo, hi, scale in checks:
             a, b = getattr(self, lo), getattr(self, hi)
             if a is not None and b is not None and (
                     a > scales[scale] * b * (1.0 + COVARIANCE_SLACK)):
@@ -892,12 +904,12 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     if x.dim != t.dim:
         raise ValueError("samples have different dimensions")
     cx, ct = _centered(x), _centered(t)
-    spd_x = SpdMatrix.coerce(cx.covariance() if sigma is None else sigma)
+    spd_x = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
     d, n = x.dim, x.n
     if same_cov:
         cx, ct = whiten(cx, spd_x), whiten(ct, spd_x)
     else:
-        spd_t = SpdMatrix.coerce(ct.covariance() if sigma_t is None
+        spd_t = SpdMatrix.coerce(t.covariance() if sigma_t is None
                                  else sigma_t)
     x4_op, t4_op = (_fourth_op(r, with_op_norms) for r in (cx, ct))
     f, o = _third_norms(empirical_moment(cx, 3) - empirical_moment(ct, 3),
@@ -920,12 +932,13 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
         **_sigma_stats(spd_x))
 
 
-def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix, sigma2: float,
-                          n: int) -> MomentSummary:
+def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix,
+                          sigma2: float) -> MomentSummary:
     """The bootstrap-type summary of ``rows``: Σ's scalars, ‖𝔼X^⊗3‖_F,
     𝔼‖X‖⁴, σ² and the largest (biased) coordinate variance."""
     return MomentSummary(
-        d=rows.dim, n=n, x_c3_frob=frobenius_norm(empirical_moment(rows, 3)),
+        d=rows.dim, n=rows.n,
+        x_c3_frob=frobenius_norm(empirical_moment(rows, 3)),
         x_c4_mean=_fourth_mean(rows),
         sigma2=sigma2, coord_var_max=float(rows.data.var(axis=0).max()),
         **_sigma_stats(spd))
@@ -945,9 +958,8 @@ def bootstrap_summary(x: Sample, sigma2: float, sigma=None,
         raise ValueError("sigma2 must be positive")
     if weight is not None:
         x = Sample(x.data @ SpdMatrix.coerce(weight).sqrt())
-    centered = _centered(x)
-    spd = SpdMatrix.coerce(centered.covariance() if sigma is None else sigma)
-    return _sub_gaussian_summary(centered, spd, sigma2, x.n)
+    spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
+    return _sub_gaussian_summary(_centered(x), spd, sigma2)
 
 
 def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
@@ -963,4 +975,4 @@ def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
         raise ValueError("sigma2_s must be positive")
     spd = SpdMatrix(scores.covariance() if info is None
                     else np.asarray(info, dtype=float) / scores.n)
-    return _sub_gaussian_summary(scores, spd, sigma2_s, scores.n)
+    return _sub_gaussian_summary(scores, spd, sigma2_s)

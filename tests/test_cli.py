@@ -439,6 +439,29 @@ def test_moments_file_with_impossible_fourth_moments_or_lambda0_exits_2(
                                      f"configuration error: {problem}\n")
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("x_w3_op", 0.25,
+     "x_w3_frob = 0.9 violates x_w3_frob <= d*x_w3_op = d*0.25"),
+    ("x_w3_max", 0.25, "x_w3_frob = 0.9 violates x_w3_frob <= "
+     "sqrt(x_w3_nonzero)*x_w3_max = sqrt(x_w3_nonzero)*0.25"),
+])
+def test_moments_file_with_an_impossible_third_moment_envelope_exits_2(
+        field, value, problem, tmp_path, capsys):
+    # ball-normal takes the least third-moment envelope, so an operator
+    # norm or largest entry that no law has would lower its total
+    payload = json.loads(summarize_gaussian(np.eye(3), 10_000).to_json())
+    payload.update(x_w3_frob=0.9, x_w3_op=0.45, x_w3_max=0.35,
+                   x_w3_nonzero=10)
+    path = tmp_path / "m.json"
+    argv = ["bound", "--theorem", "ball-normal", "--moments", str(path)]
+    path.write_text(json.dumps(payload))
+    assert run_cli(argv, capsys)[0] == 0
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    assert run_cli(argv, capsys) == (2, "",
+                                     f"configuration error: {problem}\n")
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -671,6 +694,27 @@ def test_experiment_same_law_ball_below_threshold(capsys):
     assert "below" in err
 
 
+@pytest.mark.parametrize("name", ["same-law-ball", "same-law-halfspace"])
+def test_experiment_same_law_runs_at_adjacent_seeds_share_no_sample(
+        name, monkeypatch, capsys):
+    seeds = {7: [], 8: []}
+    sample = DistributionSpec.sample
+
+    def sample_spy(spec, n, seed):
+        seeds[root].append(seed)
+        return sample(spec, n, seed)
+
+    monkeypatch.setattr(DistributionSpec, "sample", sample_spy)
+    for root in seeds:
+        code, _, _ = run_cli(
+            ["experiment", "--name", name, "--seed", str(root), "--d", "2",
+             "--n", "100", "--null-runs", "2", "--calibration-n", "64",
+             "--centers", "4", "--boot", "0"], capsys)
+        assert code == 0
+        assert len(set(seeds[root])) == 2
+    assert not set(seeds[7]) & set(seeds[8])
+
+
 def test_experiment_normal_sweep_columns(capsys):
     code, out, _ = run_cli(
         ["experiment", "--name", "normal-sweep", "--seed", "2", "--d", "2",
@@ -739,6 +783,40 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, score_csv, capsys):
     assert payload["alpha"] == 0.2  # from config
     assert payload["B"] == 500      # flag overrides config
     assert payload["seed"] == 9
+
+
+def test_config_values_that_are_not_strings_are_parsed_as_flags(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    moments = tmp_path / "m.json"
+    moments.write_text(summarize_gaussian(np.eye(2), 1000).to_json())
+    base = ["bound", "--theorem", "ball-normal", "--moments", str(moments)]
+    cfg.write_text(json.dumps({"ledger_overrides": {"m4": 12.0}}))
+    code, out, _ = run_cli(["--config", str(cfg), *base], capsys)
+    assert code == 0
+    flagged = run_cli(base + ["--ledger-overrides", '{"m4": 12.0}'], capsys)
+    assert flagged[:2] == (0, out) and out != run_cli(base, capsys)[1]
+    cfg.write_text(json.dumps({"d_list": 8}))
+    code, out, _ = run_cli(["--config", str(cfg), "experiment", "--name",
+                            "anticoncentration", "--seed", "1"], capsys)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["8"]
+    # null keeps the flag's default
+    cfg.write_text(json.dumps({"d_list": None}))
+    code, out, _ = run_cli(["--config", str(cfg), "experiment", "--name",
+                            "anticoncentration", "--seed", "1"], capsys)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [
+        "8", "16", "32", "64"]
+
+
+def test_config_value_its_flag_cannot_parse_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1.5}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "experiment", "--name",
+                  "anticoncentration", "--d-list", "1"])
+    assert exc.value.code == 2
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -173,7 +173,8 @@ def test_moment_summary_validation():
 # e = 1 + 2e-9, where the message names the field and the inequality.  At
 # d = 4, sqrt(d) = 2 and d^2 = 16.  Beside the covariance scalars, the
 # table holds the whitened fourth moments: E||W||^4 sums E W_i^2 W_j^2 <=
-# ||E W^(x)4|| over the d^2 pairs (i, j).
+# ||E W^(x)4|| over the d^2 pairs (i, j); and the third-moment envelopes:
+# ||A||_F <= d*||A|| and ||A||_F <= max|a| * sqrt(nonzero) for an order-3 A.
 @pytest.mark.parametrize("scalars, relation", [
     (lambda e: {"sigma_op": 2.0, "sigma_min_eig": 2.0 * e},
      "sigma_min_eig <= sigma_op = 2.0"),
@@ -202,6 +203,12 @@ def test_moment_summary_validation():
      "x_w4_mean <= d^2*x_w4_op = d^2*1.5"),
     (lambda e: {"t_w4_op": 1.25, "t_w4_mean": 20.0 * e},
      "t_w4_mean <= d^2*t_w4_op = d^2*1.25"),
+    *((lambda e, p=p: {p + "op": 0.5, p + "frob": 2.0 * e},
+       f"{p}frob <= d*{p}op = d*0.5") for p in ("x_w3_", "dw3_", "d3_")),
+    *((lambda e, p=p: {p + "max": 0.25, p + "nonzero": 9,
+                       p + "frob": 0.75 * e},
+       f"{p}frob <= sqrt({p}nonzero)*{p}max = sqrt({p}nonzero)*0.25")
+      for p in ("x_w3_", "dw3_", "d3_")),
 ])
 def test_moment_summary_refuses_covariance_scalars_no_covariance_has(
         scalars, relation):
@@ -251,12 +258,13 @@ def test_ball_normal_n_scaling():
 
 
 def test_ball_normal_surrogate_choice_and_missing_fields():
+    # a Frobenius norm is never above the other two envelopes, so a
+    # different choice needs it left out
     ms = MomentSummary(d=2, n=100, sigma_cond=1.0, x_w4_mean=8.0,
-                       x_w3_frob=2.0, x_w3_op=0.5, x_w3_max=0.3,
-                       x_w3_nonzero=4)
+                       x_w3_op=0.5, x_w3_max=0.3, x_w3_nonzero=4)
     bb = bound_ball_normal(ms)
     surr = bb.inputs["r3_surrogates"]
-    assert surr["frobenius"] == 2.0
+    assert "frobenius" not in surr
     assert surr["operator_dim"] == 1.0
     assert surr["max_sparse"] == pytest.approx(0.6)
     assert bb.inputs["r3_chosen"] == "max_sparse"
@@ -510,7 +518,7 @@ def test_delta_W_extra_event_term_and_delta_R_label():
 
 
 def test_score2_bound_uses_frobenius_surrogate():
-    ms = MomentSummary(d=3, n=400, x_w3_frob=2.0, x_w3_op=0.1,
+    ms = MomentSummary(d=3, n=400, x_w3_frob=2.0, x_w3_op=1.0,
                        x_w4_mean=15.0, sigma_cond=1.0)
     bb = score2_bound(ms, beta=0.829)
     assert bb.term("third_moment_sqrt_n") == pytest.approx(

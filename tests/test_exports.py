@@ -13,7 +13,8 @@ somewhere in ``src/cltcert`` or be listed, with its reason, as an
 exception.  Likewise every name a package or test module imports must be
 read in that module or listed in its ``__all__``, and every private
 function or constant a package module defines must be read somewhere in the
-package outside its own definition.
+package outside its own definition.  The one environment access in the
+package is the BLAS thread default that ``import cltcert`` sets.
 """
 
 import ast
@@ -249,3 +250,69 @@ def test_only_samplers_constructs_random_generators():
     put_back = ("def f(rng: np.random.Generator):\n"
                 "    return np.random.default_rng(0)\n")
     assert _random_constructions(ast.parse(put_back)) == [2]
+
+
+BLAS_THREAD_VARS = {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv",
+               "unsetenv"}
+
+
+def _blas_defaults(tree) -> set:
+    """The ``environ`` nodes of each ``os.environ.setdefault(var, "1")`` in
+    ``tree`` inside a loop of ``var`` over a literal tuple of BLAS thread
+    variables."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not (isinstance(loop, ast.For)
+                and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, ast.Tuple)
+                and all(getattr(e, "value", None) in BLAS_THREAD_VARS
+                        for e in loop.iter.elts)):
+            continue
+        found.update(node.func.value for node in ast.walk(loop)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "setdefault"
+                     and isinstance(node.func.value, ast.Attribute)
+                     and node.func.value.attr == "environ"
+                     and not node.keywords
+                     and [ast.unparse(arg) for arg in node.args] == [
+                         loop.target.id, "'1'"])
+    return found
+
+
+def _environment_accesses(tree, blas_default: bool) -> list:
+    """The lines of ``tree`` that read or write the environment, but, with
+    ``blas_default``, those of :func:`_blas_defaults`."""
+    allowed = _blas_defaults(tree) if blas_default else set()
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "os" and {a.name for a in node.names} & (
+                    ENVIRONMENT):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+              and node not in allowed):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_only_environment_access_is_the_blas_thread_default():
+    # one thread setting: importing cltcert makes one thread the default of
+    # the standard BLAS variables, and nothing in the package reads any
+    # variable of its own
+    found = {path.name: _environment_accesses(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 path.name == "__init__.py")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    put_back = ("import os\n"
+                "for var in ('OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+                "    os.environ.setdefault(var, '1')\n"
+                "    os.environ.setdefault(var, '2')\n"
+                "threads = os.environ.get('OMP_NUM_THREADS')\n"
+                "for var in ('OMP_NUM_THREADS', 'OTHER'):\n"
+                "    os.environ.setdefault(var, '1')\n")
+    assert _environment_accesses(ast.parse(put_back), True) == [4, 5, 7]
+    assert _environment_accesses(ast.parse(put_back), False) == [3, 4, 5, 7]
