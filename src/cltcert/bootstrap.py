@@ -20,6 +20,7 @@ from .engine import (
     BoundBreakdown,
     InfeasibleError,
     MomentSummary,
+    _matching,
     bootstrap_delta,
     bootstrap_summary,
     delta_R,
@@ -29,7 +30,7 @@ from .engine import (
 )
 from . import tensors
 from .samplers import DistributionSpec, _resample_counts, substream
-from .tensors import Sample, SpdMatrix
+from .tensors import Sample
 
 __all__ = [
     "BootstrapResult",
@@ -150,9 +151,7 @@ def bootstrap_ball_quantile(s: Sample, w, alpha: float, B: int = 2000,
     _check_resampling(alpha, B)
     if s.n < 2:  # every resample of a single row is that row
         raise ValueError(f"need at least 2 rows, got {s.n}")
-    w_spd = SpdMatrix.coerce(w)
-    if w_spd.dim != s.dim:
-        raise ValueError("W dimension does not match the sample")
+    w_spd = _matching("weight", w, s.dim)
     certificate = None  # first, so that an invalid σ² fails before resampling
     if sigma2 is not None:
         ms = bootstrap_summary(s, sigma2=sigma2, weight=w_spd)
@@ -217,9 +216,7 @@ def rao_score_test(scores: Sample, info, alpha: float,
     is attached.
     """
     _check_alpha(alpha)
-    info_spd = SpdMatrix.coerce(info)
-    if info_spd.dim != scores.dim:
-        raise ValueError("information matrix dimension mismatch")
+    info_spd = _matching("info", info, scores.dim)
     s = scores.data.sum(axis=0)
     statistic = float(s @ np.linalg.solve(info_spd.matrix, s))
     threshold = chi2_quantile(alpha, scores.dim)
@@ -282,9 +279,7 @@ def elliptical_coverage_experiment(spec: DistributionSpec, w, alpha: float,
         raise ValueError(f"n must be >= 2, got {n}")
     if trials < 200:
         raise ValueError("trials must be >= 200 for a stable coverage rate")
-    w_spd = SpdMatrix.coerce(w)
-    if w_spd.dim != spec.d:
-        raise ValueError("W dimension does not match the distribution")
+    w_spd = _matching("weight", w, spec.d)
     w_half = w_spd.sqrt()
     # before the trials, so that an invalid σ² fails before they are spent;
     # the pilot draws from its own substream

@@ -35,6 +35,7 @@ from .distances import (
 )
 from .engine import (
     CONSTANT_TUPLES,
+    DEFAULT_BETA,
     THEOREM_TABLE,
     ConstantsLedger,
     InfeasibleError,
@@ -161,9 +162,7 @@ def _cmd_bound(args) -> int:
     ms = _bound_summary(args, theorem)
     if args.n is not None:
         ms = dataclasses.replace(ms, n=args.n)
-    if not theorem.uses_beta:
-        breakdown = theorem.evaluate(ms, None, ledger)
-    elif args.beta == "optimize":
+    if args.beta == "optimize":
         _, breakdown = optimize_beta(
             lambda b: theorem.evaluate(ms, b, ledger))
     else:
@@ -404,8 +403,9 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
 
     p = sub.add_parser("bound", help="evaluate a certificate")
     p.add_argument("--theorem", required=True, choices=tuple(THEOREM_TABLE))
-    p.add_argument("--beta", default="0.829",
-                   help="smoothing parameter in (0,1), or 'optimize'")
+    p.add_argument("--beta", default=str(DEFAULT_BETA),
+                   help="smoothing parameter in (0,1), or 'optimize'; the "
+                        "symmetric theorems have none and ignore it")
     p.add_argument("--moments", help="moment summary JSON file")
     p.add_argument("--from-sample", help="sample CSV (header x1..xd)")
     p.add_argument("--second-sample", help="comparison sample CSV")

@@ -636,8 +636,7 @@ def concentration_consts(d: int, n: int):
 
 
 def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
-                    ledger: ConstantsLedger = ConstantsLedger(),
-                    theorem: str = "bootstrap_ball") -> BoundBreakdown:
+                    ledger: ConstantsLedger = ConstantsLedger()) -> BoundBreakdown:
     """Certified accuracy of the empirical-bootstrap approximation of the
     centered sum, over Euclidean balls, holding with probability ≥ 1 − 1/n.
 
@@ -670,9 +669,9 @@ def bootstrap_delta(ms: MomentSummary, beta: float = DEFAULT_BETA,
               "c1_star": c1s, "c2_star": c2s, "moment_gap": gap}
     if ms.coord_var_max is not None:
         inputs["sigma2_below_variance"] = sigma2 < ms.coord_var_max
-    return _gap_breakdown(ms, theorem, beta, ledger, lam0, gap=gap, t1=t1,
-                          v4=fourth, v4_small=small, gauss4=d * d + 2.0 * d,
-                          inputs=inputs)
+    return _gap_breakdown(ms, "bootstrap_ball", beta, ledger, lam0, gap=gap,
+                          t1=t1, v4=fourth, v4_small=small,
+                          gauss4=d * d + 2.0 * d, inputs=inputs)
 
 
 def delta_W(ms: MomentSummary, beta: float = DEFAULT_BETA,
@@ -684,9 +683,9 @@ def delta_W(ms: MomentSummary, beta: float = DEFAULT_BETA,
     plain bootstrap bound there is one extra n^{-1} term for the probability
     of the event on which the bound holds.
     """
-    base = bootstrap_delta(ms, beta, ledger, theorem="elliptical_coverage")
-    base.terms.append(("event_probability_n1", 1.0 / ms.n))
-    return base
+    base = bootstrap_delta(ms, beta, ledger)
+    return replace(base, theorem="elliptical_coverage", terms=base.terms
+                   + [("event_probability_n1", 1.0 / ms.n)])
 
 
 def delta_R(ms: MomentSummary, beta: float = DEFAULT_BETA,
@@ -697,7 +696,8 @@ def delta_R(ms: MomentSummary, beta: float = DEFAULT_BETA,
     information matrix I(θ')/n in the covariance slots (see
     :func:`score_summary`) and σ² = the scores' sub-Gaussian factor.
     """
-    return bootstrap_delta(ms, beta, ledger, theorem="bootstrap_score_level")
+    return replace(bootstrap_delta(ms, beta, ledger),
+                   theorem="bootstrap_score_level")
 
 
 def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
@@ -705,19 +705,15 @@ def score2_bound(ms: MomentSummary, beta: float = DEFAULT_BETA,
     """Level error of the χ²-calibrated score test with a correctly
     specified model, uniform over nominal levels.
 
-    Structurally the ball bound for the standardized per-observation scores
-    X̃_i = √n·I(θ')^{-1/2}·(i-th score), whose third-moment envelope is taken
-    in Frobenius norm; the covariance conditioning ‖Σ̃⁻¹‖‖Σ̃‖ equals the
-    condition number of I(θ').
+    The ball bound for the standardized per-observation scores
+    X̃_i = √n·I(θ')^{-1/2}·(i-th score), relabelled; the covariance
+    conditioning ‖Σ̃⁻¹‖‖Σ̃‖ equals the condition number of I(θ').  The
+    summary must set the Frobenius envelope of the third moment, which
+    :class:`MomentSummary` keeps the least one up to rounding.
     """
     ms.require("x_w3_frob", "x_w4_mean", "sigma_cond")
-    dd = ms.d * ms.d + 2.0 * ms.d
-    return _normal_breakdown(
-        ms, "score_chi2_level", beta, ms.x_w3_frob,
-        scale=2.0 * ledger.c_b4 * ms.sigma_cond, weight=0.25 / beta ** 4,
-        v4=ms.x_w4_mean, free=dd, gauss4=dd,
-        inputs={"c_b4": ledger.c_b4, "x_w4_mean": ms.x_w4_mean,
-                "sigma_cond": ms.sigma_cond})
+    return replace(bound_ball_normal(ms, beta, ledger),
+                   theorem="score_chi2_level")
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +729,12 @@ class Theorem:
     (:func:`summarize_pair` with ``same_cov`` true or false), "bootstrap"
     (:func:`bootstrap_summary`) or "score" (:func:`score_summary`); None when
     only a supplied summary can serve.  ``op_norms`` says whether it reads
-    tensor operator norms (the half-space theorems do, and only they), and
-    ``uses_beta`` whether β applies."""
+    tensor operator norms (the half-space theorems do, and only they).  The
+    symmetric theorems have no β and ignore the one they are passed."""
 
     evaluate: Callable[..., BoundBreakdown]
     regime: Optional[str]
     op_norms: bool = False
-    uses_beta: bool = True
 
 
 #: certificates by name, in the order the command line lists them
@@ -760,10 +755,10 @@ THEOREM_TABLE = {
         "diff-cov", op_norms=True),
     "symmetric": Theorem(
         lambda m, b, c: bound_ball_symmetric(m, c, variant="sixth_moment"),
-        None, uses_beta=False),
+        None),
     "symmetric-max": Theorem(
         lambda m, b, c: bound_ball_symmetric(m, c, variant="max_norm"),
-        None, uses_beta=False),
+        None),
     "bootstrap-ball": Theorem(lambda m, b, c: bootstrap_delta(m, b, c), "bootstrap"),
     "elliptical": Theorem(lambda m, b, c: delta_W(m, b, c), "bootstrap"),
     "score-bootstrap": Theorem(lambda m, b, c: delta_R(m, b, c), "score"),
@@ -835,6 +830,16 @@ def _sigma_stats(spd: SpdMatrix) -> dict:
     }
 
 
+def _matching(name: str, matrix, d: int) -> SpdMatrix:
+    """The supplied matrix ``name`` as an SpdMatrix, refused unless it is
+    d×d for data of dimension d."""
+    spd = SpdMatrix.coerce(matrix)
+    if spd.dim != d:
+        raise ValueError(f"{name} is {spd.dim}x{spd.dim}, but the data have "
+                         f"dimension {d}")
+    return spd
+
+
 def summarize_gaussian(sigma, n: int) -> MomentSummary:
     """Exact moment summary of 𝒩(0, Σ): zero whitened third moment,
     𝔼‖Σ^{-1/2}Z‖⁴ = d² + 2d, ‖𝔼(Σ^{-1/2}Z)^⊗4‖ = 3."""
@@ -879,7 +884,8 @@ def summarize_sample(x: Sample, sigma=None,
     which only the half-space theorems read; the ball theorems take the
     Frobenius norm of the third moment.
     """
-    spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
+    spd = (SpdMatrix(x.covariance()) if sigma is None
+           else _matching("sigma", sigma, x.dim))
     w = whiten(_centered(x), spd)
     # the order-4 form is the largest: a d above its cap is refused before
     # any other moment work
@@ -904,13 +910,14 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
     if x.dim != t.dim:
         raise ValueError("samples have different dimensions")
     cx, ct = _centered(x), _centered(t)
-    spd_x = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
     d, n = x.dim, x.n
+    spd_x = (SpdMatrix(x.covariance()) if sigma is None
+             else _matching("sigma", sigma, d))
     if same_cov:
         cx, ct = whiten(cx, spd_x), whiten(ct, spd_x)
     else:
-        spd_t = SpdMatrix.coerce(t.covariance() if sigma_t is None
-                                 else sigma_t)
+        spd_t = (SpdMatrix(t.covariance()) if sigma_t is None
+                 else _matching("sigma_t", sigma_t, d))
     x4_op, t4_op = (_fourth_op(r, with_op_norms) for r in (cx, ct))
     f, o = _third_norms(empirical_moment(cx, 3) - empirical_moment(ct, 3),
                         with_op_norms)
@@ -932,15 +939,16 @@ def summarize_pair(x: Sample, t: Sample, sigma=None, sigma_t=None,
         **_sigma_stats(spd_x))
 
 
-def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix,
+def _sub_gaussian_summary(rows: Sample, spd: SpdMatrix, cov: np.ndarray,
                           sigma2: float) -> MomentSummary:
     """The bootstrap-type summary of ``rows``: Σ's scalars, ‖𝔼X^⊗3‖_F,
-    𝔼‖X‖⁴, σ² and the largest (biased) coordinate variance."""
+    𝔼‖X‖⁴, σ² and the largest coordinate variance, read off the rows'
+    (biased) covariance ``cov``."""
     return MomentSummary(
         d=rows.dim, n=rows.n,
         x_c3_frob=frobenius_norm(empirical_moment(rows, 3)),
         x_c4_mean=_fourth_mean(rows),
-        sigma2=sigma2, coord_var_max=float(rows.data.var(axis=0).max()),
+        sigma2=sigma2, coord_var_max=float(np.diag(cov).max()),
         **_sigma_stats(spd))
 
 
@@ -949,17 +957,25 @@ def bootstrap_summary(x: Sample, sigma2: float, sigma=None,
     """Moment summary for the bootstrap certificates.
 
     ``sigma2`` is the user-supplied sub-Gaussian variance factor of the
-    (possibly ``weight``^{1/2}-transformed) coordinates.  ``weight`` is the
+    (possibly ``weight``^{1/2}-transformed) coordinates.  ``sigma`` supplies
+    Var X; it defaults to the biased sample covariance.  ``weight`` is the
     p.d. matrix W of an elliptical confidence set; when given, observations
-    are transformed by W^{1/2} before summarizing.  For a certificate at
-    another n, use ``dataclasses.replace(ms, n=...)``.
+    are transformed by W^{1/2} before summarizing, and a supplied Σ becomes
+    W^{1/2}ΣW^{1/2}, the covariance of the transformed rows.  For a
+    certificate at another n, use ``dataclasses.replace(ms, n=...)``.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
+    if sigma is not None:
+        sigma = _matching("sigma", sigma, x.dim)
     if weight is not None:
-        x = Sample(x.data @ SpdMatrix.coerce(weight).sqrt())
-    spd = SpdMatrix.coerce(x.covariance() if sigma is None else sigma)
-    return _sub_gaussian_summary(_centered(x), spd, sigma2)
+        w_half = _matching("weight", weight, x.dim).sqrt()
+        x = Sample(x.data @ w_half)
+        if sigma is not None:
+            sigma = w_half @ sigma.matrix @ w_half
+    cov = x.covariance()
+    spd = SpdMatrix.coerce(cov if sigma is None else sigma)
+    return _sub_gaussian_summary(_centered(x), spd, cov, sigma2)
 
 
 def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
@@ -973,6 +989,7 @@ def score_summary(scores: Sample, sigma2_s: float, info=None) -> MomentSummary:
     """
     if sigma2_s <= 0:
         raise ValueError("sigma2_s must be positive")
-    spd = SpdMatrix(scores.covariance() if info is None
-                    else np.asarray(info, dtype=float) / scores.n)
-    return _sub_gaussian_summary(scores, spd, sigma2_s)
+    cov = scores.covariance()
+    spd = (SpdMatrix(cov) if info is None else SpdMatrix(
+        _matching("info", info, scores.dim).matrix / scores.n))
+    return _sub_gaussian_summary(scores, spd, cov, sigma2_s)

@@ -361,8 +361,9 @@ def frobenius_norm(tensor: MomentTensor) -> float:
 @dataclass(frozen=True)
 class OperatorNormResult:
     """Certified upper end of the symmetric operator norm: ``value`` is at
-    least ‖A‖, ``iterations`` counts the eigenvalue solves behind it and
-    ``converged`` is True once the search has closed its interval."""
+    least ‖A‖ and ``iterations`` counts the eigenvalue solves behind it.
+    ``converged`` is always True, since the search always closes its
+    interval; it stays only for the benchmark's tracer, which reads it."""
 
     value: float
     converged: bool

@@ -117,6 +117,26 @@ def test_bound_symmetric_requires_moments(gaussian_csvs, capsys):
     assert "--moments" in err
 
 
+@pytest.mark.parametrize("theorem", ["symmetric", "symmetric-max"])
+def test_bound_symmetric_theorems_take_beta_like_every_other(
+        theorem, tmp_path, capsys):
+    # they have no β: any number, or optimize, leaves stdout as it is, and a
+    # --beta that is neither is refused as for every other theorem
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "d": 3, "n": 10_000, "x_m6": 110.0, "l_m6": 120.0, "u6_mean": 30.0,
+        "z6_mean": 105.0, "d4_frob": 0.6, "d4_max": 0.2, "m6_sym": 15.5,
+        "lambda_z_sq": 0.45}))
+    argv = ["bound", "--theorem", theorem, "--moments", str(path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["beta"] is None
+    for beta in ("0.829", "0.5", "optimize"):
+        assert run_cli(argv + ["--beta", beta], capsys)[:2] == (0, out)
+    code, out, err = run_cli(argv + ["--beta", "junk"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ")
+
+
 def test_bound_needs_some_input(capsys):
     code, _, err = run_cli(["bound", "--theorem", "ball-normal"], capsys)
     assert code == 2
@@ -149,15 +169,31 @@ def test_bound_refuses_a_fourth_moment_form_above_the_cap(tmp_path, capsys):
                    "would need 404010000 > 268435456 cells\n")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag, argv", [
+# every route that reads a supplied matrix: (flag, argv on samples A and B)
+MATRIX_FLAGS = pytest.mark.parametrize("flag, argv", [
     ("--sigma", ["bound", "--theorem", "ball-normal", "--from-sample", "A"]),
     ("--sigma-t", ["bound", "--theorem", "ball-diff-cov", "--from-sample",
                    "A", "--second-sample", "B"]),
     ("--weight", ["bootstrap", "--test", "ball", "--data", "A", "--alpha",
                   "0.1", "--B", "200", "--seed", "1"]),
     ("--info", ["score-test", "--data", "A", "--alpha", "0.05"]),
+    ("--sigma", ["bound", "--theorem", "ball-diff-cov", "--from-sample", "A",
+                 "--second-sample", "B"]),
+    ("--sigma-t", ["bound", "--theorem", "halfspace-diff-cov",
+                   "--from-sample", "A", "--second-sample", "B"]),
+    ("--sigma", ["bound", "--theorem", "bootstrap-ball", "--from-sample", "A",
+                 "--sigma2", "1", "--n", "100000000"]),
+    ("--weight", ["bound", "--theorem", "elliptical", "--from-sample", "A",
+                  "--sigma2", "1", "--n", "100000000"]),
+    ("--info", ["bound", "--theorem", "score-bootstrap", "--from-sample", "A",
+                "--sigma2", "1", "--n", "100000000"]),
+    ("--info", ["bootstrap", "--test", "score", "--data", "A", "--alpha",
+                "0.1", "--B", "200", "--seed", "1", "--sigma2", "1"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@MATRIX_FLAGS
 def test_non_finite_matrix_flag_exits_2(flag, argv, value, tmp_path,
                                         gaussian_csvs, capsys):
     # the entry is refused as non-finite before any other check: an inf
@@ -171,6 +207,23 @@ def test_non_finite_matrix_flag_exits_2(flag, argv, value, tmp_path,
                              + [flag, str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == "configuration error: matrix has non-finite entries\n"
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@MATRIX_FLAGS
+def test_matrix_flag_of_the_wrong_dimension_exits_2(
+        flag, argv, dim, tmp_path, gaussian_csvs, capsys):
+    # the samples have d = 2: a 3x3 matrix was certified as given on most of
+    # these routes, and a 1x1 one broadcast
+    path = tmp_path / "m.csv"
+    np.savetxt(str(path), 400.0 * np.eye(dim), delimiter=",")
+    files = dict(zip("AB", gaussian_csvs))
+    code, out, err = run_cli([files.get(v, v) for v in argv]
+                             + [flag, str(path)], capsys)
+    name = flag[2:].replace("-", "_")
+    assert (code, out) == (2, "")
+    assert err == (f"configuration error: {name} is {dim}x{dim}, but the "
+                   "data have dimension 2\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

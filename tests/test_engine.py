@@ -1,6 +1,7 @@
 """Bound engine: h-functions, all bound formulas, β search, constants."""
 
 import dataclasses
+import io
 import json
 import math
 
@@ -40,6 +41,7 @@ from cltcert.tensors import (
     whiten,
 )
 from dense import dense_moment, sym2_form, symmetrize
+from test_golden import SUMMARY, SUPPLIED_MATRICES
 
 SQRT6 = math.sqrt(6.0)
 
@@ -527,6 +529,21 @@ def test_score2_bound_uses_frobenius_surrogate():
                                           x_w4_mean=15.0, sigma_cond=1.0),
                             beta=0.829)
     assert bb.total == pytest.approx(ref.total, rel=1e-12)
+    # it is the ball-normal bound relabelled, term for term and bit for bit,
+    # on the golden summary and on both from-sample passes of the golden X
+    x = Sample(np.random.default_rng(20).exponential(size=(3000, 3)) - 1.0)
+    sigma = np.loadtxt(io.StringIO(SUPPLIED_MATRICES["--sigma"]),
+                       delimiter=",")
+    for ms in (MomentSummary(**SUMMARY),
+               summarize_sample(x, with_op_norms=False),
+               summarize_sample(x, sigma=sigma, with_op_norms=False)):
+        for beta in (0.829, 0.5):
+            chi2, ball = score2_bound(ms, beta), bound_ball_normal(ms, beta)
+            assert chi2.theorem == "score_chi2_level"
+            assert (chi2.terms, chi2.total) == (ball.terms, ball.total)
+            assert chi2.inputs["r3_chosen"] == "frobenius"
+    with pytest.raises(ValueError, match="missing: x_w3_frob"):
+        score2_bound(dataclasses.replace(ms, x_w3_frob=None, x_w3_op=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -717,3 +734,24 @@ def test_sigma2_below_the_coordinate_variance_is_flagged():
     # a summary that does not record the variance carries no flag
     bare = dataclasses.replace(ms, coord_var_max=None)
     assert "sigma2_below_variance" not in bootstrap_delta(bare).inputs
+
+
+def test_coord_var_max_is_the_largest_diagonal_entry_of_the_covariance():
+    x = Sample(np.random.default_rng(14).exponential(size=(2000, 3)) - 1.0)
+    top = float(np.diag(x.covariance()).max())
+    # a supplied Σ or information matrix does not change what is read
+    assert bootstrap_summary(x, 1.0).coord_var_max == top
+    assert bootstrap_summary(x, 1.0, sigma=np.eye(3)).coord_var_max == top
+    assert score_summary(x, 1.0).coord_var_max == top
+    assert score_summary(x, 1.0, info=2000 * np.eye(3)).coord_var_max == top
+
+
+def test_a_supplied_sigma_under_a_weight_is_the_covariance_of_x():
+    # --sigma is Var X on every route: under W the summary reads
+    # W^{1/2}ΣW^{1/2}, so the rows' own covariance reproduces the default
+    x = Sample(np.random.default_rng(15).exponential(size=(2000, 3)) - 1.0)
+    w = np.loadtxt(io.StringIO(SUPPLIED_MATRICES["--weight"]), delimiter=",")
+    default = dataclasses.asdict(bootstrap_summary(x, 1.0, weight=w))
+    supplied = dataclasses.asdict(
+        bootstrap_summary(x, 1.0, sigma=x.covariance(), weight=w))
+    assert supplied == pytest.approx(default, rel=1e-12)
